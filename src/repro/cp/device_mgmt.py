@@ -10,12 +10,9 @@ metrics.
 """
 
 from dataclasses import dataclass
-from itertools import count
 
 from repro.kernel import Compute, KernelSection, LockAcquire, LockRelease, Syscall
 from repro.sim.units import MICROSECONDS, MILLISECONDS
-
-_vm_ids = count(1)
 
 
 @dataclass
@@ -41,10 +38,14 @@ class DeviceMgmtParams:
 
 
 class VMCreateRequest:
-    """One VM-creation request with its lifecycle timestamps."""
+    """One VM-creation request with its lifecycle timestamps.
 
-    def __init__(self, env, n_devices, issued_ns=None):
-        self.vm_id = next(_vm_ids)
+    The VM id comes from ``board.vm_ids``, the board's own sequence.
+    """
+
+    def __init__(self, board, n_devices, issued_ns=None):
+        env = board.env
+        self.vm_id = next(board.vm_ids)
         self.env = env
         self.n_devices = n_devices
         self.t_issued = env.now if issued_ns is None else issued_ns
@@ -116,7 +117,7 @@ class DeviceManager:
     def create_vm(self, n_devices=None):
         """Convenience: build and submit a request; returns it."""
         n_devices = n_devices or self.params.devices_per_vm
-        return self.submit(VMCreateRequest(self.env, n_devices))
+        return self.submit(VMCreateRequest(self.board, n_devices))
 
     def _provision_body(self, request, on_device_initialized=None):
         env = self.env

@@ -31,7 +31,8 @@ class Orchestrator:
         batch = []
         for _ in range(size):
             request = VMCreateRequest(
-                self.env, self.device_manager.params.devices_per_vm
+                self.device_manager.board,
+                self.device_manager.params.devices_per_vm
             )
             self.device_manager.submit(request)
             batch.append(request)
@@ -48,7 +49,8 @@ class Orchestrator:
                 gap = rng.exponential(1e9 / rate_per_s)
                 yield env.timeout(max(int(gap), 1))
                 request = VMCreateRequest(
-                    env, self.device_manager.params.devices_per_vm
+                    self.device_manager.board,
+                    self.device_manager.params.devices_per_vm
                 )
                 self.device_manager.submit(request)
                 self.requests.append(request)

@@ -6,6 +6,7 @@ PCIe Gen3 x8 toward the host, and a 200 Gb/s physical network port.
 """
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from repro.hw.accelerator import Accelerator, AcceleratorParams
 from repro.hw.port import Link
@@ -50,6 +51,10 @@ class SmartNIC:
         self.config = config or BoardConfig()
         self.rng = rng or RandomStreams(seed=0)
         self.name = name
+        # One VM id sequence per board, shared by every host and device
+        # manager on it: ids land in span, thread and eNIC names, so a
+        # process-global counter would make them depend on run order.
+        self.vm_ids = count(1)
 
         self.kernel = Kernel(env, params=self.config.kernel, name=f"{name}-os")
         for cpu_id in range(self.config.total_cpus):

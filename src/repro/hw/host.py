@@ -9,12 +9,9 @@ on CP scheduling, which is the paper's central SLO story.
 """
 
 from dataclasses import dataclass, field
-from itertools import count
 
 from repro.cp.device_mgmt import DeviceManager, VMCreateRequest
 from repro.hw.enic import ENic
-
-_vm_seq = count(1)
 
 
 @dataclass
@@ -35,14 +32,16 @@ class VirtualMachine:
     """A guest instance and its SmartNIC-side devices."""
 
     spec: VMSpec
-    vm_id: int = field(default_factory=lambda: next(_vm_seq))
+    request: VMCreateRequest
     devices: list = field(default_factory=list)
-    request: VMCreateRequest = None
+
+    @property
+    def vm_id(self):
+        return self.request.vm_id
 
     @property
     def running(self):
-        return (self.request is not None
-                and self.request.t_vm_started is not None)
+        return self.request.t_vm_started is not None
 
     @property
     def vnics(self):
@@ -53,7 +52,7 @@ class VirtualMachine:
         return [device for device in self.devices if device.kind == "blk"]
 
     def startup_time_ns(self):
-        return self.request.startup_time_ns if self.request else None
+        return self.request.startup_time_ns
 
 
 class HostNode:
@@ -81,11 +80,10 @@ class HostNode:
         fires when QEMU instantiation completes.
         """
         spec = spec or VMSpec()
-        vm = VirtualMachine(spec=spec)
         kinds = ["net"] * spec.n_vnics + ["blk"] * spec.n_vblks
-        request = VMCreateRequest(self.env, spec.n_devices)
+        request = VMCreateRequest(self.board, spec.n_devices)
         request.tenant = self.tenant_id
-        vm.request = request
+        vm = VirtualMachine(spec=spec, request=request)
         self.vms.append(vm)
 
         def _materialize(req, device_index):

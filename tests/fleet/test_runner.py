@@ -247,11 +247,15 @@ def test_top_renders_fleet_health(tmp_path):
 
 
 def test_spans_fleet_byte_identical_across_jobs():
-    spec = _tiny_spec(n_nodes=2)
-    spec.spans = True
-    serial = FleetRunner(spec, jobs=1, scale=1.0).run()
-    parallel = FleetRunner(spec, jobs=2, scale=1.0).run()
-    assert _canonical_json(serial) == _canonical_json(parallel)
+    # The rack pair creates VMs on both boards: VM ids name spans and
+    # exemplars, so they must come from each board's own sequence, not
+    # from whatever an earlier node in the same process left behind.
+    rack = FleetSpec.preset("rack").subset(2)
+    for spec, scale in ((_tiny_spec(n_nodes=2), 1.0), (rack, 0.5)):
+        spec.spans = True
+        serial = FleetRunner(spec, jobs=1, scale=scale).run()
+        parallel = FleetRunner(spec, jobs=2, scale=scale).run()
+        assert _canonical_json(serial) == _canonical_json(parallel)
 
 
 def test_spans_fleet_pools_worst_requests():
