@@ -99,20 +99,18 @@ def _cell(arm, isolation, duration_ns, seed, check_invariants=False):
     scenario = Scenario(arm=arm, traffic="bursty", faults=_FAULTS,
                         degradation=(arm == "taichi"), tenants=_tenants(),
                         tenant_isolation=isolation)
-    fault_scale = duration_ns / _BASE_DURATION_NS
+    soak = dict(seed=seed, duration_ns=duration_ns, drain_ns=_DRAIN_NS,
+                fault_scale=duration_ns / _BASE_DURATION_NS,
+                dp_slo_us=_VICTIM_SLO_US)
     violations = None
     if check_invariants:
         from repro.obs import observe
 
         with observe(check_invariants=True) as session:
-            summary = run_soak(scenario, seed=seed, duration_ns=duration_ns,
-                               drain_ns=_DRAIN_NS, fault_scale=fault_scale,
-                               dp_slo_us=_VICTIM_SLO_US)
+            summary = run_soak(scenario, **soak)
         violations = len(session.violations())
     else:
-        summary = run_soak(scenario, seed=seed, duration_ns=duration_ns,
-                           drain_ns=_DRAIN_NS, fault_scale=fault_scale,
-                           dp_slo_us=_VICTIM_SLO_US)
+        summary = run_soak(scenario, **soak)
     victim = summary["tenants"]["victim"]
     noisy_started = sum(
         block["vms_started"] for tid, block in summary["tenants"].items()

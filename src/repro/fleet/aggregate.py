@@ -23,9 +23,8 @@ class — the Wave-style comparison), and ``worst_nodes`` (who to page;
 ties break on node_id so reports stay deterministic).
 """
 
-from repro.fleet.node import attainment_pct
 from repro.metrics.sketch import is_sketch_dict, merge_sketch_dicts
-from repro.metrics.stats import summarize
+from repro.metrics.stats import attainment_pct, summarize
 
 _DP_QS = (50, 90, 99, 99.9)
 _STARTUP_QS = (50, 90, 99)
@@ -41,61 +40,76 @@ def _sketch_block(nodes, key, qs):
     return block, merged.to_dict()
 
 
-def aggregate_nodes(nodes):
-    """One aggregate block over a list of node summaries."""
-    dp_merged = _sketch_block(nodes, "dp_sketch", _DP_QS)
+def _pooled(blocks):
+    """Distributions, exact SLO attainment and VM counts over ``blocks``.
+
+    ``blocks`` are node summaries or one tenant's blocks from several
+    nodes: both carry the same keys.  Returns the pooled keys and, apart,
+    the merged sketches (empty on the raw path).
+    """
+    dp_merged = _sketch_block(blocks, "dp_sketch", _DP_QS)
     if dp_merged is not None:
         dp_block, dp_sketch = dp_merged
-        dp_total = sum(node.get("dp_slo_total",
-                                len(node.get("dp_samples_us") or []))
-                       for node in nodes)
+        dp_total = sum(block.get("dp_slo_total",
+                                 len(block.get("dp_samples_us") or []))
+                       for block in blocks)
     else:
-        dp_pool = [value for node in nodes
-                   for value in node.get("dp_samples_us") or []]
+        dp_pool = [value for block in blocks
+                   for value in block.get("dp_samples_us") or []]
         dp_block, dp_sketch = summarize(dp_pool, qs=_DP_QS), None
         dp_total = len(dp_pool)
-    dp_within = sum(node["dp_within_slo"] for node in nodes)
+    dp_within = sum(block["dp_within_slo"] for block in blocks)
 
-    startup_merged = _sketch_block(nodes, "startup_sketch", _STARTUP_QS)
+    startup_merged = _sketch_block(blocks, "startup_sketch", _STARTUP_QS)
     if startup_merged is not None:
         startup_block, startup_sketch = startup_merged
     else:
-        startup_pool = [value for node in nodes
-                        for value in node.get("startup_samples_ms") or []]
+        startup_pool = [value for block in blocks
+                        for value in block.get("startup_samples_ms") or []]
         startup_block, startup_sketch = (
             summarize(startup_pool, qs=_STARTUP_QS), None)
-    startup_within = sum(node["startup_within_slo"] for node in nodes)
-    startup_total = sum(node["startup_slo_total"] for node in nodes)
+    startup_within = sum(block["startup_within_slo"] for block in blocks)
+    startup_total = sum(block["startup_slo_total"] for block in blocks)
 
-    block = {
-        "nodes": len(nodes),
-        "node_ids": [node["node_id"] for node in nodes],
+    pooled = {
         "dp_latency_us": dp_block,
         "dp_slo_attainment_pct": attainment_pct(dp_within, dp_total),
         "startup_ms": startup_block,
         "startup_slo_attainment_pct": attainment_pct(startup_within,
                                                      startup_total),
-        "vms_started": sum(node["vms_started"] for node in nodes),
-        "vms_requested": sum(node["vms_requested"] for node in nodes),
+        "vms_started": sum(block["vms_started"] for block in blocks),
+        "vms_requested": sum(block["vms_requested"] for block in blocks),
+    }
+    sketches = {}
+    if dp_sketch is not None:
+        sketches["dp_sketch"] = dp_sketch
+    if startup_sketch is not None:
+        sketches["startup_sketch"] = startup_sketch
+    return pooled, sketches
+
+
+def aggregate_nodes(nodes):
+    """One aggregate block over a list of node summaries."""
+    pooled, sketches = _pooled(nodes)
+    return {
+        "nodes": len(nodes),
+        "node_ids": [node["node_id"] for node in nodes],
+        **pooled,
         "faults_injected": sum(node["faults"]["injected"] for node in nodes),
         "invariant_violations":
             sum(node["invariants"]["violations"] for node in nodes),
         "invariants_ok": all(node["invariants"]["ok"] for node in nodes),
+        **sketches,
     }
-    if dp_sketch is not None:
-        block["dp_sketch"] = dp_sketch
-    if startup_sketch is not None:
-        block["startup_sketch"] = startup_sketch
-    return block
 
 
 def aggregate_tenants(nodes):
     """Merge per-tenant blocks across nodes: one block per tenant id.
 
-    Sketches merge in node order (same contract as the fleet merge);
-    attainment pools exact within/total counts.  Nodes without tenant
-    blocks contribute nothing — a mixed fleet aggregates the tenants of
-    the multi-tenant nodes only.
+    A tenant's blocks pool exactly as node summaries do: sketches merge
+    in node order, attainment pools exact within/total counts.  Nodes
+    without tenant blocks contribute nothing — a mixed fleet aggregates
+    the tenants of the multi-tenant nodes only.
     """
     by_tenant = {}
     for node in nodes:
@@ -104,34 +118,14 @@ def aggregate_tenants(nodes):
     out = {}
     for tid in sorted(by_tenant):
         blocks = by_tenant[tid]
-        dp_merged = _sketch_block(blocks, "dp_sketch", _DP_QS)
-        startup_merged = _sketch_block(blocks, "startup_sketch",
-                                       _STARTUP_QS)
-        dp_within = sum(block["dp_within_slo"] for block in blocks)
-        dp_total = sum(block["dp_slo_total"] for block in blocks)
-        startup_within = sum(block["startup_within_slo"]
-                             for block in blocks)
-        startup_total = sum(block["startup_slo_total"] for block in blocks)
-        merged = {
+        pooled, sketches = _pooled(blocks)
+        out[tid] = {
             "nodes": len(blocks),
             "weight": blocks[0]["weight"],
-            "dp_latency_us": (dp_merged[0] if dp_merged is not None
-                              else None),
-            "dp_slo_attainment_pct": attainment_pct(dp_within, dp_total),
-            "startup_ms": (startup_merged[0]
-                           if startup_merged is not None else None),
-            "startup_slo_attainment_pct": attainment_pct(startup_within,
-                                                         startup_total),
-            "vms_started": sum(block["vms_started"] for block in blocks),
-            "vms_requested": sum(block["vms_requested"]
-                                 for block in blocks),
+            **pooled,
             "granted_ns": sum(block["granted_ns"] for block in blocks),
+            **sketches,
         }
-        if dp_merged is not None:
-            merged["dp_sketch"] = dp_merged[1]
-        if startup_merged is not None:
-            merged["startup_sketch"] = startup_merged[1]
-        out[tid] = merged
     return out
 
 

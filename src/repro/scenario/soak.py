@@ -1,20 +1,27 @@
-"""The shared production-soak driver: one Scenario, one board, one summary.
+"""The production-soak driver: one Scenario, one board, one summary.
 
 This is the simulation shape the paper's Section 6.6 production story
 rests on — bursty DP background at a fixed offered load, CP hum, tenant
 latency probes against the accelerator, VM-creation storms through the
-host/eNIC lifecycle, then a drain window for in-flight startups.  It
-used to live twice (``fleet.node._simulate`` and ``ext_production_soak``
-each carried a copy); both now call :func:`run_soak` with a
-:class:`~repro.scenario.spec.Scenario`.
+host/eNIC lifecycle, then a drain window for in-flight startups.  The
+fleet runner, ``ext_production_soak`` and ``ext_multitenant`` all call
+:func:`run_soak` with a :class:`~repro.scenario.spec.Scenario`.
+
+Every load source on the board is a :class:`LoadSource`.  A tenant-less
+scenario soaks one *implicit tenant*; a scenario that declares
+``tenants`` gets one source per tenant from :mod:`repro.tenancy.soak`,
+which also adds the per-tenant summary blocks and gauges.  Both run the
+same loop below.
 
 Determinism contract: the summary is a pure function of
 ``(scenario, seed, windows)`` — no wall clock, no process-global state.
-The RNG stream names (``fleet-probe``, ``fleet-storms``) and process
-names are part of that contract: they seed the per-purpose substreams,
-so renaming them would silently re-draw every published fleet number.
+The RNG stream names (:data:`IMPLICIT_STREAMS` for the implicit tenant)
+and process names are part of that contract: they seed the per-purpose
+substreams, so renaming them would silently re-draw every published
+number.
 """
 
+from repro.cp.device_mgmt import DeviceManager
 from repro.hw.host import HostNode, VMSpec
 from repro.hw.packet import IORequest, PacketKind
 from repro.metrics import LatencyRecorder, QuantileSketch
@@ -30,8 +37,118 @@ _SAMPLE_CAP = 50_000
 #: DP partition size, so a board that repartitions CPUs (``dp_boost``, or
 #: type-2 losing one to QEMU) sees the *same* total traffic spread over
 #: its actual service count — capacity changes show up in latency, not in
-#: offered work.
+#: offered work.  The implicit tenant probes this many nominal queues.
 _NOMINAL_DP_SERVICES = 8
+
+#: RNG stream names of the implicit tenant, by purpose.
+IMPLICIT_STREAMS = {
+    "dp": "dp-background",
+    "cp": "cp-background",
+    "probe": "fleet-probe",
+    "storms": "fleet-storms",
+    "devmgmt": "device-mgmt",
+}
+
+
+class LoadSource:
+    """One source of soak load and the state its processes share.
+
+    ``services``/``cp_affinity`` of ``None`` mean the whole board: the
+    source's DP background covers every service, its probes target the
+    nominal ``("net", q, 0)`` queues, and its host and CP hum use the
+    deployment's CP affinity.  ``suffix`` tells its processes apart.
+    ``account`` is the source's own :class:`ProbeAccount`, fed next to
+    the pooled one; the implicit tenant has none, so each probe is
+    recorded once.
+    """
+
+    def __init__(self, mix, traffic, dp_slo_us, streams=IMPLICIT_STREAMS,
+                 suffix="", tenant=None, services=None, cp_affinity=None):
+        self.mix = mix
+        self.traffic = traffic
+        self.dp_slo_us = dp_slo_us
+        self.streams = streams
+        self.suffix = suffix
+        self.tenant = tenant
+        self.services = services
+        self.cp_affinity = cp_affinity
+        self.host = None                  # built after warmup
+        self.account = None
+
+
+class ProbeAccount:
+    """Probe latencies scored against one SLO.
+
+    The sketch accumulates on every probe whether or not a bus drains
+    interval deltas from it: with a bus it *is* the channel's cumulative
+    sketch, so the summary's sketch is the same object either way.
+    """
+
+    def __init__(self, name, slo_us, bus, channel, alpha):
+        self.recorder = LatencyRecorder(name=name, cap=_SAMPLE_CAP)
+        self.slo_us = slo_us
+        self.within = 0
+        self.channel = bus.channel(channel) if bus is not None else None
+        self.sketch = (self.channel.cumulative if self.channel is not None
+                       else QuantileSketch(alpha))
+
+    def record(self, latency_ns):
+        self.recorder.record(latency_ns)
+        latency_us = latency_ns / MICROSECONDS
+        if latency_us <= self.slo_us:
+            self.within += 1
+        if self.channel is not None:
+            self.channel.observe(latency_us)
+        else:
+            self.sketch.add(latency_us)
+
+    def attainment_pct(self):
+        return attainment_pct(self.within, self.recorder.count)
+
+
+def startup_counts(vms, now_ns, slo_ns):
+    """``(within, due, overdue_pending)`` VM startups at ``now_ns``.
+
+    ``due`` is the SLO denominator: completed startups plus those still
+    pending past the SLO.  A pending startup past the SLO is a violation
+    even though it never produced a sample — a saturated control plane
+    must not score 100% by finishing almost nothing.  Requests younger
+    than the SLO are censored (they still had time), not counted.
+    """
+    within = due = overdue = 0
+    for vm in vms:
+        startup_ns = vm.startup_time_ns()
+        if startup_ns is None:
+            if now_ns - vm.request.t_issued > slo_ns:
+                overdue += 1
+                due += 1
+            continue
+        due += 1
+        if startup_ns <= slo_ns:
+            within += 1
+    return within, due, overdue
+
+
+def startup_block(vms, now_ns, slo_ns):
+    """Startup SLO summary keys over ``vms``, plus the sorted samples (ms).
+
+    A sketch of the samples must be built from this *sorted* list so its
+    float ``sum`` is independent of VM completion order (and of whether
+    a telemetry bus also streamed the same values as interval deltas).
+    """
+    startups_ms = sorted(
+        vm.startup_time_ns() / MILLISECONDS for vm in vms
+        if vm.startup_time_ns() is not None)
+    within, due, overdue = startup_counts(vms, now_ns, slo_ns)
+    block = {
+        "startup_ms": summarize(startups_ms, qs=(50, 90, 99)),
+        "startup_slo_ms": slo_ns / MILLISECONDS,
+        "startup_within_slo": within,
+        "startup_slo_total": due,
+        "startup_overdue_pending": overdue,
+        "startup_slo_attainment_pct": attainment_pct(within, due),
+    }
+    return block, startups_ms
 
 
 def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
@@ -41,7 +158,10 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
 
     ``fault_scale`` compresses the scenario's fault plan alongside a
     scaled duration; ``label`` names the board in the summary and its
-    probe recorder (the fleet runner passes the node id).
+    probe recorder (the fleet runner passes the node id).  A scenario
+    with ``tenants`` adds ``summary["tenants"]``/``summary["tenancy"]``
+    (see :mod:`repro.tenancy.soak`); every other key is pooled over all
+    load sources.
 
     ``telemetry`` is an optional
     :class:`~repro.obs.telemetry.TelemetryConfig`: when set (or when the
@@ -64,14 +184,6 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
     event stream, so every other summary key is byte-identical to a
     spans-off run.
     """
-    if scenario.tenants:
-        from repro.tenancy.soak import run_tenant_soak
-
-        return run_tenant_soak(
-            scenario, seed=seed, duration_ns=duration_ns, drain_ns=drain_ns,
-            dp_slo_us=dp_slo_us, fault_scale=fault_scale, label=label,
-            telemetry=telemetry, spans=spans, exemplar_k=exemplar_k)
-
     from repro.scenario.spec import TRAFFIC_PROFILES
     from repro.workloads.background import (
         start_cp_background, start_dp_background,
@@ -80,21 +192,8 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
     deployment = scenario.build(seed=seed, fault_scale=fault_scale)
     if spans:
         deployment.env.spans.enable(exemplar_k=exemplar_k)
-
-    mix = scenario.workload
-    per_service_util = min(
-        mix.dp_utilization * _NOMINAL_DP_SERVICES / len(deployment.services),
-        0.95)
-    start_dp_background(deployment, utilization=per_service_util,
-                        burstiness=TRAFFIC_PROFILES[scenario.traffic])
-    start_cp_background(deployment, n_monitors=mix.n_monitors,
-                        rolling_tasks=mix.rolling_tasks)
-    deployment.warmup()
     env = deployment.env
     board = deployment.board
-    host = HostNode(deployment)
-
-    probe_latency = LatencyRecorder(name=f"{label}-probe", cap=_SAMPLE_CAP)
 
     # Streaming telemetry (optional).  Scenario-declared alert rules
     # imply a bus even when the driver didn't ask for one, so SLO
@@ -132,55 +231,92 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
                 telemetry.jsonl_path, cap=telemetry.jsonl_cap,
                 node_id=node_id))
 
-    # The dp rx-wait sketch accumulates on every probe completion whether
-    # or not a bus drains interval deltas from it — the summary's sketch
-    # is the same object either way.
-    dp_channel = (bus.channel("dp_rx_wait_us") if bus is not None else None)
-    dp_sketch = dp_channel.cumulative if dp_channel is not None \
-        else QuantileSketch(alpha)
-    dp_within_running = [0]
+    pooled = ProbeAccount(f"{label}-probe", dp_slo_us, bus, "dp_rx_wait_us",
+                          alpha)
+    tenants = None
+    if scenario.tenants:
+        from repro.tenancy.soak import TenantSoak
 
-    def record_probe(event):
-        latency_ns = event.value.total_latency_ns
-        probe_latency.record(latency_ns)
-        latency_us = latency_ns / MICROSECONDS
-        if latency_us <= dp_slo_us:
-            dp_within_running[0] += 1
-        if dp_channel is not None:
-            dp_channel.observe(latency_us)
-        else:
-            dp_sketch.add(latency_us)
+        tenants = TenantSoak(deployment, scenario, dp_slo_us, label, bus,
+                             alpha)
+        sources = tenants.sources
+    else:
+        sources = [LoadSource(scenario.workload, scenario.traffic, dp_slo_us)]
 
-    def latency_probe():
-        rng = deployment.rng.stream("fleet-probe")
-        period_ns = mix.probe_period_us * MICROSECONDS
+    for source in sources:
+        mix = source.mix
+        per_service_util = min(
+            mix.dp_utilization * _NOMINAL_DP_SERVICES
+            / len(deployment.services), 0.95)
+        start_dp_background(
+            deployment, utilization=per_service_util,
+            burstiness=TRAFFIC_PROFILES[source.traffic],
+            rng=deployment.rng.stream(source.streams["dp"]),
+            queues=[service.queue_ids[0]
+                    for service in source.services or deployment.services],
+            label=f"dp-bg{source.suffix}", tenant=source.tenant)
+        start_cp_background(
+            deployment, n_monitors=mix.n_monitors,
+            rolling_tasks=mix.rolling_tasks,
+            rng=deployment.rng.stream(source.streams["cp"]),
+            affinity=source.cp_affinity, name_prefix=source.tenant)
+    deployment.warmup()
+
+    for source in sources:
+        manager = DeviceManager(
+            board, source.cp_affinity or deployment.cp_affinity,
+            rng=board.rng.stream(source.streams["devmgmt"]))
+        source.host = HostNode(deployment, manager=manager,
+                               services=source.services,
+                               tenant_id=source.tenant)
+
+    def latency_probe(source):
+        accounts = (pooled,) if source.account is None \
+            else (pooled, source.account)
+
+        def record_probe(event):
+            latency_ns = event.value.total_latency_ns
+            for account in accounts:
+                account.record(latency_ns)
+
+        rng = deployment.rng.stream(source.streams["probe"])
+        period_ns = source.mix.probe_period_us * MICROSECONDS
+        queues = ([("net", queue, 0) for queue in range(_NOMINAL_DP_SERVICES)]
+                  if source.services is None
+                  else [service.queue_ids[0] for service in source.services])
         while True:
-            queue = int(rng.integers(0, 8))
+            queue_id = queues[int(rng.integers(0, len(queues)))]
             done = env.event()
             done.callbacks.append(record_probe)
             board.accelerator.submit(IORequest(
-                PacketKind.NET_TX, 64, ("net", queue, 0),
-                service_ns=1_500, done=done))
+                PacketKind.NET_TX, 64, queue_id,
+                service_ns=1_500, done=done, tenant=source.tenant))
             yield env.timeout(int(rng.exponential(period_ns)))
 
-    env.process(latency_probe(), name="latency-probe")
-
-    def storm_source():
-        rng = deployment.rng.stream("fleet-storms")
+    def storm_source(source):
+        mix = source.mix
+        rng = deployment.rng.stream(source.streams["storms"])
         period_ns = mix.vm_period_ms * MILLISECONDS
         while True:
             yield env.timeout(int(rng.exponential(period_ns)))
             for _ in range(int(rng.integers(mix.vm_batch_min,
                                             mix.vm_batch_max + 1))):
-                host.create_vm(VMSpec(n_vblks=mix.vm_vblks))
+                source.host.create_vm(VMSpec(n_vblks=mix.vm_vblks))
 
-    env.process(storm_source(), name="storm-source")
+    for source in sources:
+        env.process(latency_probe(source),
+                    name=f"latency-probe{source.suffix}")
+        env.process(storm_source(source),
+                    name=f"storm-source{source.suffix}")
 
-    slo_ns = host.manager.params.startup_slo_ns
-    slo_ms = slo_ns / MILLISECONDS
+    def all_vms():
+        return [vm for source in sources for vm in source.host.vms]
+
+    slo_ns = sources[0].host.manager.params.startup_slo_ns
     if bus is not None:
-        _wire_bus_gauges(bus, deployment, host, probe_latency,
-                         dp_within_running, slo_ns)
+        _wire_bus_gauges(bus, deployment, all_vms, pooled, slo_ns)
+        if tenants is not None:
+            tenants.add_gauges(bus, env, slo_ns)
         bus.attach(env)
 
     deployment.run(env.now + duration_ns)
@@ -189,28 +325,11 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
     if bus is not None:
         bus.close(env.now)
 
-    dp_samples_us = [value / MICROSECONDS for value in probe_latency.samples]
+    dp_samples_us = [value / MICROSECONDS
+                     for value in pooled.recorder.samples]
     dp_within = sum(1 for value in dp_samples_us if value <= dp_slo_us)
-
-    startups_ms = sorted(
-        vm.startup_time_ns() / MILLISECONDS for vm in host.vms
-        if vm.startup_time_ns() is not None)
-    startup_within = sum(1 for value in startups_ms if value <= slo_ms)
-    # A startup still pending past the SLO is a violation even though it
-    # never produced a sample — a saturated control plane must not score
-    # 100% by finishing almost nothing.  Requests younger than the SLO at
-    # stream end are censored (they still had time), not counted.
-    overdue_pending = sum(
-        1 for vm in host.vms
-        if vm.startup_time_ns() is None
-        and env.now - vm.request.t_issued > slo_ns)
-    startup_total = len(startups_ms) + overdue_pending
-
-    # Sketches the fleet ships in place of raw sample arrays.  The
-    # startup sketch is rebuilt from the *sorted* samples so its float
-    # ``sum`` is independent of VM completion order (and of whether a
-    # telemetry bus also streamed the same values as interval deltas).
-    startup_sketch = QuantileSketch(alpha).extend(startups_ms)
+    vms = all_vms()
+    startup, startups_ms = startup_block(vms, env.now, slo_ns)
 
     injector = deployment.fault_injector
     summary = {
@@ -219,31 +338,27 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
         "traffic": scenario.traffic,
         "seed": seed,
         "dp_samples_us": dp_samples_us,
-        "dp_sample_count": probe_latency.count,
+        "dp_sample_count": pooled.recorder.count,
         "dp_latency_us": summarize(dp_samples_us, qs=(50, 90, 99, 99.9)),
         "dp_slo_us": dp_slo_us,
         "dp_within_slo": dp_within,
         "dp_slo_attainment_pct": attainment_pct(dp_within,
                                                 len(dp_samples_us)),
         "startup_samples_ms": startups_ms,
-        "startup_ms": summarize(startups_ms, qs=(50, 90, 99)),
-        "startup_slo_ms": slo_ms,
-        "startup_within_slo": startup_within,
-        "startup_slo_total": startup_total,
-        "startup_overdue_pending": overdue_pending,
-        "startup_slo_attainment_pct": attainment_pct(startup_within,
-                                                     startup_total),
+        **startup,
         "vms_started": len(startups_ms),
-        "vms_requested": len(host.vms),
+        "vms_requested": len(vms),
         "faults": {
             "injected": injector.injected if injector else 0,
             "cleared": injector.cleared if injector else 0,
         },
-        "dp_sketch": dp_sketch.to_dict(),
+        "dp_sketch": pooled.sketch.to_dict(),
         "dp_slo_total": len(dp_samples_us),
-        "startup_sketch": startup_sketch.to_dict(),
+        "startup_sketch": QuantileSketch(alpha).extend(startups_ms).to_dict(),
         "engine": engine_summary(env),
     }
+    if tenants is not None:
+        summary.update(tenants.summary(env, slo_ns, alpha))
     if spans:
         # Only added when spans are on, so a spans-off summary (and its
         # fleet JSON) stays byte-identical to previous releases.
@@ -289,8 +404,7 @@ def engine_summary(env):
     }
 
 
-def _wire_bus_gauges(bus, deployment, host, probe_latency, dp_within_running,
-                     slo_ns):
+def _wire_bus_gauges(bus, deployment, all_vms, pooled, slo_ns):
     """Register board-health gauges and the VM-startup collector.
 
     Everything here *reads* simulation state — gauges and collectors
@@ -313,15 +427,13 @@ def _wire_bus_gauges(bus, deployment, host, probe_latency, dp_within_running,
         # Baselines have no probe to lose; report steady health so the
         # same alert rules apply across arms.
         bus.add_gauge("probe_health", lambda: 1.0)
-    bus.add_gauge("dp_slo_attainment_pct", lambda: attainment_pct(
-        dp_within_running[0], probe_latency.count))
+    bus.add_gauge("dp_slo_attainment_pct", pooled.attainment_pct)
 
     startup_channel = bus.channel("vm_startup_ms")
     seen = set()
-    startup_state = {"within": 0, "completed": 0}
 
     def collect_startups(now_ns):
-        for vm in host.vms:
+        for vm in all_vms():
             if id(vm) in seen:
                 continue
             startup_ns = vm.startup_time_ns()
@@ -329,18 +441,9 @@ def _wire_bus_gauges(bus, deployment, host, probe_latency, dp_within_running,
                 continue
             seen.add(id(vm))
             startup_channel.observe(startup_ns / MILLISECONDS)
-            startup_state["completed"] += 1
-            if startup_ns <= slo_ns:
-                startup_state["within"] += 1
 
     bus.add_collector(collect_startups)
-
-    def startup_attainment():
-        overdue = sum(
-            1 for vm in host.vms
-            if vm.startup_time_ns() is None
-            and env.now - vm.request.t_issued > slo_ns)
-        return attainment_pct(startup_state["within"],
-                              startup_state["completed"] + overdue)
-
-    bus.add_gauge("startup_slo_attainment_pct", startup_attainment)
+    # Collectors run before gauges at every tick, so counting live here
+    # sees exactly the startups the collector just streamed.
+    bus.add_gauge("startup_slo_attainment_pct", lambda: attainment_pct(
+        *startup_counts(all_vms(), env.now, slo_ns)[:2]))

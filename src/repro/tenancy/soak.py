@@ -1,427 +1,128 @@
-"""The multi-tenant production soak: one board, several tenants' load.
+"""Tenant policy of the soak: one load source per tenant.
 
-:func:`run_tenant_soak` is the tenant-aware sibling of
-:func:`repro.scenario.soak.run_soak` — the scenario driver delegates here
-whenever a :class:`~repro.scenario.spec.Scenario` declares ``tenants``.
-It builds the arm through the same registry, installs a
-:class:`~repro.tenancy.manager.TenancyManager`, then runs *per-tenant*
-copies of the soak's load shape: DP background on the tenant's own rx
-queues, CP hum and VM-creation storms bound to the tenant's CP affinity
-through the tenant's own :class:`~repro.cp.device_mgmt.DeviceManager`,
-and tenant latency probes tagged with the tenant id.
+:func:`repro.scenario.soak.run_soak` runs the same loop for every
+scenario; when the scenario declares ``tenants`` it asks
+:class:`TenantSoak` for the load sources instead of using the implicit
+tenant.  :class:`TenantSoak` installs a
+:class:`~repro.tenancy.manager.TenancyManager` and builds one
+:class:`~repro.scenario.soak.LoadSource` per tenant: DP background on the
+tenant's own rx queues, CP hum and VM-creation storms bound to the
+tenant's CP affinity through the tenant's own
+:class:`~repro.cp.device_mgmt.DeviceManager`, and latency probes tagged
+with the tenant id.
 
-The summary keeps every key of the single-tenant soak (pooled across
-tenants, so fleet aggregation and ``top`` keep working unchanged) and
-adds ``summary["tenants"][tid]`` blocks plus a ``summary["tenancy"]``
-ledger view.  Tenant blocks carry sketches and counts, never raw sample
-arrays — they must stay cheap to ship through fleet JSON.
+The summary keeps every pooled key of a tenant-less soak (so fleet
+aggregation and ``top`` work unchanged) and adds
+``summary["tenants"][tid]`` blocks plus a ``summary["tenancy"]`` ledger
+view.  Tenant blocks carry sketches and counts, never raw sample arrays
+— they must stay cheap to ship through fleet JSON.
 
 Determinism contract: per-tenant RNG streams are named
 ``tenant-<id>-{dp,cp,probe,storms}`` and ``device-mgmt-<id>``; renaming
 them would re-draw every multi-tenant number.
 """
 
-from repro.hw.host import HostNode, VMSpec
-from repro.hw.packet import IORequest, PacketKind
-from repro.metrics import LatencyRecorder, QuantileSketch
-from repro.metrics.sketch import DEFAULT_ALPHA
+from repro.metrics import QuantileSketch
 from repro.metrics.stats import attainment_pct, summarize
-from repro.scenario.soak import engine_summary
-from repro.sim.units import MICROSECONDS, MILLISECONDS
+from repro.scenario.soak import (
+    LoadSource, ProbeAccount, startup_block, startup_counts,
+)
+from repro.sim.units import MICROSECONDS
 
 from repro.tenancy.manager import TenancyManager
 
-_SAMPLE_CAP = 50_000
 
-#: Same nominal DP partition as the single-tenant soak: a tenant's
-#: ``dp_utilization`` is offered load relative to this, spread over the
-#: board's actual service count, so the *board-wide* offered work for a
-#: given mix matches the single-tenant driver.
-_NOMINAL_DP_SERVICES = 8
+class TenantSoak:
+    """The tenant-specific parts of one soak, called by ``run_soak``.
 
-
-class _TenantRun:
-    """One tenant's live measurement state during the soak."""
-
-    def __init__(self, runtime, mix, traffic, dp_slo_us, label):
-        self.runtime = runtime
-        self.tenant_id = runtime.tenant_id
-        self.mix = mix                    # tenant workload (or the default)
-        self.traffic = traffic            # tenant traffic (or the default)
-        self.dp_slo_us = dp_slo_us        # tenant SLO (or the global one)
-        self.host = None
-        self.probe_latency = LatencyRecorder(
-            name=f"{label}-probe-{self.tenant_id}", cap=_SAMPLE_CAP)
-        self.dp_channel = None            # per-tenant bus channel (optional)
-        self.dp_sketch = None
-        self.dp_within = 0
-
-
-def run_tenant_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
-                    drain_ns=200 * MILLISECONDS, dp_slo_us=300.0,
-                    fault_scale=1.0, label="node", telemetry=None,
-                    spans=False, exemplar_k=None):
-    """Soak one multi-tenant scenario; returns the summary dict.
-
-    Same contract as :func:`repro.scenario.soak.run_soak` (which forwards
-    here), plus the ``tenants``/``tenancy`` summary blocks.
+    Each tenant's source has its own streams, services, CP affinity and
+    probe account (with a ``tenant.<id>.dp_rx_wait_us`` bus channel);
+    its workload, traffic and DP SLO default to the scenario's.
     """
-    from repro.cp.device_mgmt import DeviceManager
-    from repro.scenario.spec import TRAFFIC_PROFILES
-    from repro.workloads.background import (
-        start_cp_background, start_dp_background,
-    )
 
-    deployment = scenario.build(seed=seed, fault_scale=fault_scale)
-    if spans:
-        deployment.env.spans.enable(exemplar_k=exemplar_k)
-    env = deployment.env
-    board = deployment.board
+    def __init__(self, deployment, scenario, dp_slo_us, label, bus, alpha):
+        self.manager = TenancyManager(
+            deployment, scenario.tenants,
+            isolation=scenario.tenant_isolation).install()
+        self.sources = []
+        for runtime in self.manager.runtimes:
+            spec = runtime.spec
+            tid = runtime.tenant_id
+            streams = {purpose: f"tenant-{tid}-{purpose}"
+                       for purpose in ("dp", "cp", "probe", "storms")}
+            streams["devmgmt"] = f"device-mgmt-{tid}"
+            source = LoadSource(
+                mix=spec.workload or scenario.workload,
+                traffic=spec.traffic or scenario.traffic,
+                dp_slo_us=(spec.dp_slo_us if spec.dp_slo_us is not None
+                           else dp_slo_us),
+                streams=streams, suffix=f"-{tid}", tenant=tid,
+                services=runtime.services, cp_affinity=runtime.cp_affinity)
+            source.account = ProbeAccount(
+                f"{label}-probe-{tid}", source.dp_slo_us, bus,
+                f"tenant.{tid}.dp_rx_wait_us", alpha)
+            self.sources.append(source)
 
-    tenancy = TenancyManager(deployment, scenario.tenants,
-                             isolation=scenario.tenant_isolation).install()
-    runs = [
-        _TenantRun(runtime,
-                   mix=runtime.spec.workload or scenario.workload,
-                   traffic=runtime.spec.traffic or scenario.traffic,
-                   dp_slo_us=(runtime.spec.dp_slo_us
-                              if runtime.spec.dp_slo_us is not None
-                              else dp_slo_us),
-                   label=label)
-        for runtime in tenancy.runtimes
-    ]
+    def add_gauges(self, bus, env, slo_ns):
+        """Per-tenant ``tenant.<id>.*`` gauges.
 
-    for run in runs:
-        tid = run.tenant_id
-        queues = [service.queue_ids[0]
-                  for service in run.runtime.services]
-        per_service_util = min(
-            run.mix.dp_utilization * _NOMINAL_DP_SERVICES
-            / len(deployment.services), 0.95)
-        start_dp_background(
-            deployment, utilization=per_service_util,
-            burstiness=TRAFFIC_PROFILES[run.traffic],
-            rng=deployment.rng.stream(f"tenant-{tid}-dp"),
-            queues=queues, label=f"dp-bg-{tid}", tenant=tid)
-        start_cp_background(
-            deployment, n_monitors=run.mix.n_monitors,
-            rolling_tasks=run.mix.rolling_tasks,
-            rng=deployment.rng.stream(f"tenant-{tid}-cp"),
-            affinity=run.runtime.cp_affinity, name_prefix=tid)
-    deployment.warmup()
+        Per-tenant gauge names make the declarative alert rules work
+        unchanged: a rule on ``tenant.victim.dp_slo_attainment_pct``
+        needs no alert-code support, just this naming convention.
+        """
+        for source, runtime in zip(self.sources, self.manager.runtimes):
+            prefix = f"tenant.{source.tenant}"
+            bus.add_gauge(f"{prefix}.dp_slo_attainment_pct",
+                          source.account.attainment_pct)
+            bus.add_gauge(f"{prefix}.startup_slo_attainment_pct",
+                          lambda vms=source.host.vms: attainment_pct(
+                              *startup_counts(vms, env.now, slo_ns)[:2]))
+            bus.add_gauge(f"{prefix}.granted_ns",
+                          lambda runtime=runtime: runtime.granted_ns)
 
-    for run in runs:
-        tid = run.tenant_id
-        manager = DeviceManager(
-            board, run.runtime.cp_affinity,
-            rng=board.rng.stream(f"device-mgmt-{tid}"))
-        run.host = HostNode(deployment, manager=manager,
-                            services=run.runtime.services, tenant_id=tid)
-
-    probe_latency = LatencyRecorder(name=f"{label}-probe", cap=_SAMPLE_CAP)
-
-    if telemetry is None and scenario.alerts is not None:
-        from repro.obs.telemetry import TelemetryConfig
-
-        telemetry = TelemetryConfig(node_id=label)
-    alpha = telemetry.alpha if telemetry else DEFAULT_ALPHA
-    bus = None
-    ring = None
-    monitor = None
-    jsonl_writer = None
-    if telemetry is not None:
-        from repro.obs.alerts import SLOMonitor
-        from repro.obs.telemetry import (
-            RingSeries, TelemetryBus, TelemetryJsonlWriter,
-        )
-
-        node_id = telemetry.node_id if telemetry.node_id != "node" else label
-        bus = TelemetryBus(registry=env.metrics,
-                           interval_ns=telemetry.interval_ns,
-                           node_id=node_id, alpha=alpha)
-        rules = scenario.alerts if scenario.alerts is not None \
-            else telemetry.alerts
-        if rules is not None:
-            monitor = bus.subscribe(SLOMonitor(
-                rules=rules, tracer=env.tracer, node_id=node_id,
-                exemplar_provider=env.spans if spans else None))
-        ring = bus.subscribe(RingSeries(cap=telemetry.ring_cap))
-        if telemetry.jsonl_path:
-            jsonl_writer = bus.subscribe(TelemetryJsonlWriter(
-                telemetry.jsonl_path, cap=telemetry.jsonl_cap,
-                node_id=node_id))
-
-    dp_channel = (bus.channel("dp_rx_wait_us") if bus is not None else None)
-    dp_sketch = dp_channel.cumulative if dp_channel is not None \
-        else QuantileSketch(alpha)
-    dp_within_running = [0]
-    for run in runs:
-        if bus is not None:
-            run.dp_channel = bus.channel(
-                f"tenant.{run.tenant_id}.dp_rx_wait_us")
-            run.dp_sketch = run.dp_channel.cumulative
-        else:
-            run.dp_sketch = QuantileSketch(alpha)
-
-    def make_recorder(run):
-        def record_probe(event):
-            latency_ns = event.value.total_latency_ns
-            probe_latency.record(latency_ns)
-            run.probe_latency.record(latency_ns)
-            latency_us = latency_ns / MICROSECONDS
-            if latency_us <= dp_slo_us:
-                dp_within_running[0] += 1
-            if latency_us <= run.dp_slo_us:
-                run.dp_within += 1
-            if dp_channel is not None:
-                dp_channel.observe(latency_us)
-            else:
-                dp_sketch.add(latency_us)
-            if run.dp_channel is not None:
-                run.dp_channel.observe(latency_us)
-            else:
-                run.dp_sketch.add(latency_us)
-        return record_probe
-
-    def latency_probe(run, record_probe):
-        tid = run.tenant_id
-        rng = deployment.rng.stream(f"tenant-{tid}-probe")
-        period_ns = run.mix.probe_period_us * MICROSECONDS
-        queues = [service.queue_ids[0]
-                  for service in run.runtime.services]
-        while True:
-            queue_id = queues[int(rng.integers(0, len(queues)))]
-            done = env.event()
-            done.callbacks.append(record_probe)
-            board.accelerator.submit(IORequest(
-                PacketKind.NET_TX, 64, queue_id,
-                service_ns=1_500, done=done, tenant=tid))
-            yield env.timeout(int(rng.exponential(period_ns)))
-
-    def storm_source(run):
-        tid = run.tenant_id
-        rng = deployment.rng.stream(f"tenant-{tid}-storms")
-        period_ns = run.mix.vm_period_ms * MILLISECONDS
-        while True:
-            yield env.timeout(int(rng.exponential(period_ns)))
-            for _ in range(int(rng.integers(run.mix.vm_batch_min,
-                                            run.mix.vm_batch_max + 1))):
-                run.host.create_vm(VMSpec(n_vblks=run.mix.vm_vblks))
-
-    for run in runs:
-        tid = run.tenant_id
-        env.process(latency_probe(run, make_recorder(run)),
-                    name=f"latency-probe-{tid}")
-        env.process(storm_source(run), name=f"storm-source-{tid}")
-
-    slo_ns = runs[0].host.manager.params.startup_slo_ns
-    slo_ms = slo_ns / MILLISECONDS
-    if bus is not None:
-        _wire_tenant_gauges(bus, deployment, runs, probe_latency,
-                            dp_within_running, slo_ns)
-        bus.attach(env)
-
-    deployment.run(env.now + duration_ns)
-    deployment.run(env.now + drain_ns)
-    if bus is not None:
-        bus.close(env.now)
-
-    dp_samples_us = [value / MICROSECONDS for value in probe_latency.samples]
-    dp_within = sum(1 for value in dp_samples_us if value <= dp_slo_us)
-
-    all_vms = [vm for run in runs for vm in run.host.vms]
-    startups_ms = sorted(
-        vm.startup_time_ns() / MILLISECONDS for vm in all_vms
-        if vm.startup_time_ns() is not None)
-    startup_within = sum(1 for value in startups_ms if value <= slo_ms)
-    overdue_pending = sum(
-        1 for vm in all_vms
-        if vm.startup_time_ns() is None
-        and env.now - vm.request.t_issued > slo_ns)
-    startup_total = len(startups_ms) + overdue_pending
-    startup_sketch = QuantileSketch(alpha).extend(startups_ms)
-
-    injector = deployment.fault_injector
-    summary = {
-        "node_id": label,
-        "deployment": scenario.arm,
-        "traffic": scenario.traffic,
-        "seed": seed,
-        "dp_samples_us": dp_samples_us,
-        "dp_sample_count": probe_latency.count,
-        "dp_latency_us": summarize(dp_samples_us, qs=(50, 90, 99, 99.9)),
-        "dp_slo_us": dp_slo_us,
-        "dp_within_slo": dp_within,
-        "dp_slo_attainment_pct": attainment_pct(dp_within,
-                                                len(dp_samples_us)),
-        "startup_samples_ms": startups_ms,
-        "startup_ms": summarize(startups_ms, qs=(50, 90, 99)),
-        "startup_slo_ms": slo_ms,
-        "startup_within_slo": startup_within,
-        "startup_slo_total": startup_total,
-        "startup_overdue_pending": overdue_pending,
-        "startup_slo_attainment_pct": attainment_pct(startup_within,
-                                                     startup_total),
-        "vms_started": len(startups_ms),
-        "vms_requested": len(all_vms),
-        "faults": {
-            "injected": injector.injected if injector else 0,
-            "cleared": injector.cleared if injector else 0,
-        },
-        "dp_sketch": dp_sketch.to_dict(),
-        "dp_slo_total": len(dp_samples_us),
-        "startup_sketch": startup_sketch.to_dict(),
-        "engine": engine_summary(env),
-        "tenancy": {
-            "isolation": tenancy.isolation,
-            "total_granted_ns": tenancy.total_granted_ns,
-        },
-        "tenants": {
-            run.tenant_id: _tenant_block(run, env, slo_ns, slo_ms, alpha)
-            for run in runs
-        },
-    }
-    if spans:
-        summary["exemplars"] = env.spans.exemplars()
-        summary["spans"] = {
-            "completed": env.spans.roots_completed,
-            "open": env.spans.open_spans(),
+    def summary(self, env, slo_ns, alpha):
+        """The ``tenancy`` and ``tenants`` summary blocks."""
+        return {
+            "tenancy": {
+                "isolation": self.manager.isolation,
+                "total_granted_ns": self.manager.total_granted_ns,
+            },
+            "tenants": {
+                source.tenant: _tenant_block(source, runtime, env, slo_ns,
+                                             alpha)
+                for source, runtime in zip(self.sources,
+                                           self.manager.runtimes)
+            },
         }
-    if bus is not None:
-        summary["telemetry"] = {
-            "intervals": bus.snapshots_emitted,
-            "interval_ms": telemetry.interval_ms,
-            "path": telemetry.jsonl_path,
-            "ring_retained": len(ring),
-            "alerts": monitor.summary() if monitor is not None else None,
-        }
-        if jsonl_writer is not None:
-            summary["telemetry"]["path"] = jsonl_writer.finish()
-    return summary
 
 
-def _tenant_block(run, env, slo_ns, slo_ms, alpha):
+def _tenant_block(source, runtime, env, slo_ns, alpha):
     """One tenant's summary block: sketches and counts, no raw arrays."""
-    runtime = run.runtime
+    account = source.account
     dp_samples_us = [value / MICROSECONDS
-                     for value in run.probe_latency.samples]
-    startups_ms = sorted(
-        vm.startup_time_ns() / MILLISECONDS for vm in run.host.vms
-        if vm.startup_time_ns() is not None)
-    startup_within = sum(1 for value in startups_ms if value <= slo_ms)
-    overdue_pending = sum(
-        1 for vm in run.host.vms
-        if vm.startup_time_ns() is None
-        and env.now - vm.request.t_issued > slo_ns)
-    startup_total = len(startups_ms) + overdue_pending
+                     for value in account.recorder.samples]
+    vms = source.host.vms
+    startup, startups_ms = startup_block(vms, env.now, slo_ns)
     return {
         "weight": runtime.weight,
         "services": len(runtime.services),
         "vcpus": len(runtime.vcpus),
-        "dp_sample_count": run.probe_latency.count,
+        "dp_sample_count": account.recorder.count,
         "dp_latency_us": summarize(dp_samples_us, qs=(50, 90, 99, 99.9)),
-        "dp_slo_us": run.dp_slo_us,
+        "dp_slo_us": source.dp_slo_us,
         "dp_slo_declared": runtime.spec.dp_slo_us is not None,
-        "dp_within_slo": run.dp_within,
+        "dp_within_slo": account.within,
         "dp_slo_total": len(dp_samples_us),
-        "dp_slo_attainment_pct": attainment_pct(run.dp_within,
+        "dp_slo_attainment_pct": attainment_pct(account.within,
                                                 len(dp_samples_us)),
-        "dp_sketch": run.dp_sketch.to_dict(),
-        "startup_ms": summarize(startups_ms, qs=(50, 90, 99)),
-        "startup_slo_ms": slo_ms,
-        "startup_within_slo": startup_within,
-        "startup_slo_total": startup_total,
-        "startup_overdue_pending": overdue_pending,
-        "startup_slo_attainment_pct": attainment_pct(startup_within,
-                                                     startup_total),
+        "dp_sketch": account.sketch.to_dict(),
+        **startup,
         "startup_sketch": QuantileSketch(alpha).extend(startups_ms).to_dict(),
         "vms_started": len(startups_ms),
-        "vms_requested": len(run.host.vms),
+        "vms_requested": len(vms),
         "granted_ns": runtime.granted_ns,
         "grants": runtime.grants,
     }
-
-
-def _wire_tenant_gauges(bus, deployment, runs, probe_latency,
-                        dp_within_running, slo_ns):
-    """Board-health gauges plus per-tenant ``tenant.<id>.*`` gauges.
-
-    Per-tenant gauge names make the declarative alert rules work
-    unchanged: a rule on ``tenant.victim.dp_slo_attainment_pct`` needs no
-    alert-code support, just this naming convention.
-    """
-    env = deployment.env
-    kernel = deployment.board.kernel
-    taichi = deployment.taichi
-
-    bus.add_gauge("rq_depth", lambda: sum(
-        len(cpu.runqueue) for cpu in kernel.cpus.values()))
-    if taichi is not None:
-        scheduler = taichi.scheduler
-        bus.add_gauge("grant_occupancy", lambda: sum(
-            1 for grant in scheduler.active.values() if grant.active))
-        bus.add_gauge("probe_health",
-                      lambda: 0.0 if scheduler.probe_degraded else 1.0)
-    else:
-        bus.add_gauge("probe_health", lambda: 1.0)
-    bus.add_gauge("dp_slo_attainment_pct", lambda: attainment_pct(
-        dp_within_running[0], probe_latency.count))
-
-    startup_channel = bus.channel("vm_startup_ms")
-    seen = set()
-    startup_state = {"within": 0, "completed": 0}
-
-    def collect_startups(now_ns):
-        for run in runs:
-            for vm in run.host.vms:
-                if id(vm) in seen:
-                    continue
-                startup_ns = vm.startup_time_ns()
-                if startup_ns is None:
-                    continue
-                seen.add(id(vm))
-                startup_channel.observe(startup_ns / MILLISECONDS)
-                startup_state["completed"] += 1
-                if startup_ns <= slo_ns:
-                    startup_state["within"] += 1
-
-    bus.add_collector(collect_startups)
-
-    def startup_attainment():
-        overdue = sum(
-            1 for run in runs for vm in run.host.vms
-            if vm.startup_time_ns() is None
-            and env.now - vm.request.t_issued > slo_ns)
-        return attainment_pct(startup_state["within"],
-                              startup_state["completed"] + overdue)
-
-    bus.add_gauge("startup_slo_attainment_pct", startup_attainment)
-
-    for run in runs:
-        tid = run.tenant_id
-
-        def tenant_dp_attainment(run=run):
-            return attainment_pct(run.dp_within, run.probe_latency.count)
-
-        def tenant_startup_attainment(run=run):
-            within = completed = overdue = 0
-            for vm in run.host.vms:
-                startup_ns = vm.startup_time_ns()
-                if startup_ns is None:
-                    if env.now - vm.request.t_issued > slo_ns:
-                        overdue += 1
-                    continue
-                completed += 1
-                if startup_ns <= slo_ns:
-                    within += 1
-            return attainment_pct(within, completed + overdue)
-
-        bus.add_gauge(f"tenant.{tid}.dp_slo_attainment_pct",
-                      tenant_dp_attainment)
-        bus.add_gauge(f"tenant.{tid}.startup_slo_attainment_pct",
-                      tenant_startup_attainment)
-        bus.add_gauge(f"tenant.{tid}.granted_ns",
-                      lambda run=run: run.runtime.granted_ns)
 
 
 def verify_tenant_summary(summary):

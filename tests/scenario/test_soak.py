@@ -1,7 +1,10 @@
-"""The shared soak driver: summary shape and determinism."""
+"""The one soak driver: summary shape, determinism, startup accounting."""
+
+from types import SimpleNamespace
 
 from repro.scenario import Scenario, arm_override, arms_under_test, run_soak
 from repro.scenario.session import current_arms, parse_arm_list
+from repro.scenario.soak import startup_block, startup_counts
 from repro.sim.units import MILLISECONDS
 
 import pytest
@@ -22,6 +25,25 @@ def test_summary_shape():
     assert 0.0 <= summary["dp_slo_attainment_pct"] <= 100.0
     assert 0.0 <= summary["startup_slo_attainment_pct"] <= 100.0
     assert summary["faults"] == {"injected": 0, "cleared": 0}
+
+
+def _vm(issued_ns, startup_ns=None):
+    return SimpleNamespace(request=SimpleNamespace(t_issued=issued_ns),
+                           startup_time_ns=lambda: startup_ns)
+
+
+def test_startup_counts_censor_young_pending_and_count_overdue():
+    slo_ns = 100
+    vms = [_vm(0, 80), _vm(0, 120), _vm(0, 100),   # within, late, within
+           _vm(10),                                 # pending, overdue
+           _vm(150)]                                # pending, still young
+    assert startup_counts(vms, now_ns=200, slo_ns=slo_ns) == (2, 4, 1)
+    block, samples_ms = startup_block(vms, now_ns=200, slo_ns=slo_ns)
+    assert samples_ms == sorted(samples_ms) and len(samples_ms) == 3
+    assert block["startup_slo_total"] == 4
+    assert block["startup_overdue_pending"] == 1
+    assert block["startup_slo_attainment_pct"] == 50.0
+    assert startup_counts([], now_ns=0, slo_ns=slo_ns) == (0, 0, 0)
 
 
 def test_soak_is_deterministic():

@@ -1,4 +1,4 @@
-"""The multi-tenant soak: delegation, determinism, telemetry, invariants."""
+"""The multi-tenant soak: tenant blocks, determinism, telemetry, invariants."""
 
 from repro.obs import observe
 from repro.scenario import Scenario, run_soak
