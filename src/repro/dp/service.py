@@ -128,18 +128,6 @@ class DPService:
         """Drop accumulated wait samples (after a guard intervention)."""
         self._recent_waits.clear()
 
-    def release_queue(self, queue_id):
-        """Stop polling ``queue_id`` (its new owner adopts it next)."""
-        if queue_id not in self.queue_ids:
-            raise ValueError(f"{self.name} does not poll {queue_id!r}")
-        index = self.queue_ids.index(queue_id)
-        self.queue_ids.pop(index)
-        self.rx_stores.pop(index)
-        # Restart any in-flight idle wait so its arrival set shrinks.
-        if self._control_event is not None and not self._control_event.triggered:
-            self._control_event.succeed()
-        self.resume_polling()
-
     def adopt_queue(self, queue_id):
         """Take over polling an existing accelerator queue."""
         self.queue_ids.append(queue_id)

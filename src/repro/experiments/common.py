@@ -1,8 +1,5 @@
 """Shared helpers for experiment modules."""
 
-# Canonical implementations live in repro.metrics.stats; re-exported here
-# because every experiment module historically imports them from common.
-from repro.metrics.stats import overhead_pct, ratio  # noqa: F401
 from repro.sim.units import MILLISECONDS
 
 

@@ -6,9 +6,10 @@ of the CP partition's physical CPUs to DP services (here 4 -> 2 CP CPUs,
 CP performance stays at baseline by harvesting idle DP cycles.
 """
 
-from repro.experiments.common import ratio, scaled_duration
+from repro.experiments.common import scaled_duration
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
+from repro.metrics.stats import ratio
 from repro.scenario import arms_under_test, build
 from repro.sim.units import MILLISECONDS
 from repro.workloads import run_fio, run_sockperf_tcp, run_synth_cp

@@ -16,9 +16,10 @@ driver the fleet runner uses per node — so this experiment is one
 :class:`~repro.scenario.Scenario` per arm plus scoring.
 """
 
-from repro.experiments.common import ratio, scaled_duration
+from repro.experiments.common import scaled_duration
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
+from repro.metrics.stats import ratio
 from repro.scenario import Scenario, WorkloadMix, arms_under_test, run_soak
 from repro.sim.units import MILLISECONDS, SECONDS
 

@@ -5,9 +5,10 @@ tasks with the data plane held at the production-p99 30 % utilization and
 the standing CP background running, as on a production node.
 """
 
-from repro.experiments.common import ratio, scaled_count
+from repro.experiments.common import scaled_count
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
+from repro.metrics.stats import ratio
 from repro.scenario import arms_under_test, build
 from repro.workloads import run_synth_cp
 from repro.workloads.background import start_cp_background

@@ -6,9 +6,10 @@ The paper reports ~8 % degradation for vDP, ~26 % for type-2, and ~0.2 %
 for Tai Chi.
 """
 
-from repro.experiments.common import overhead_pct, scaled_duration
+from repro.experiments.common import scaled_duration
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
+from repro.metrics.stats import overhead_pct
 from repro.scenario import arms_under_test, build
 from repro.sim.units import MILLISECONDS
 from repro.workloads import run_tcp_crr

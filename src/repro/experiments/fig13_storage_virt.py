@@ -4,9 +4,10 @@ The paper reports ~6 % IOPS degradation for Tai Chi-vDP, ~25.7 % for
 type-2 QEMU+KVM, and ~0.06 % for Tai Chi.
 """
 
-from repro.experiments.common import overhead_pct, scaled_duration
+from repro.experiments.common import scaled_duration
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
+from repro.metrics.stats import overhead_pct
 from repro.scenario import arms_under_test, build
 from repro.sim.units import MILLISECONDS
 from repro.workloads import run_fio

@@ -4,9 +4,10 @@ The paper reports 1.56 % average overhead (peaking at 1.63 % in average
 query throughput).
 """
 
-from repro.experiments.common import overhead_pct, scaled_duration
+from repro.experiments.common import scaled_duration
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
+from repro.metrics.stats import overhead_pct
 from repro.scenario import arms_under_test, build
 from repro.sim.units import MILLISECONDS
 from repro.workloads import run_mysql

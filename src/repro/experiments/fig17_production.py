@@ -4,10 +4,11 @@ The production result: a 3.1x reduction in average VM startup latency in
 high-density deployments.
 """
 
-from repro.experiments.common import ratio, scaled_count
+from repro.experiments.common import scaled_count
 from repro.experiments.fig2_motivation import DENSITIES, run_density_point
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
+from repro.metrics.stats import ratio
 from repro.scenario import arms_under_test
 from repro.sim.units import MILLISECONDS
 

@@ -7,9 +7,10 @@ startup exceeding its SLO by ~3.1x at density x4.
 
 from repro.cp.device_mgmt import DeviceManager, DeviceMgmtParams
 from repro.cp.orchestration import Orchestrator
-from repro.experiments.common import ratio, scaled_count
+from repro.experiments.common import scaled_count
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
+from repro.metrics.stats import ratio
 from repro.scenario import build
 from repro.sim.units import MILLISECONDS, SECONDS
 from repro.workloads.background import start_cp_background

@@ -5,9 +5,10 @@ the deployment models; DP performance class measured with a short tcp_crr
 run on each.
 """
 
-from repro.experiments.common import overhead_pct, scaled_duration
+from repro.experiments.common import scaled_duration
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
+from repro.metrics.stats import overhead_pct
 from repro.scenario import arms_under_test, build
 from repro.sim.units import MILLISECONDS
 from repro.workloads import run_tcp_crr

@@ -8,9 +8,10 @@ slice expiry and max RTT / mdev inflate severely (the paper: +203 % max,
 """
 
 from repro.core.config import TaiChiConfig
-from repro.experiments.common import ratio, scaled_duration
+from repro.experiments.common import scaled_duration
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
+from repro.metrics.stats import ratio
 from repro.scenario import arms_under_test, build, get_arm
 from repro.sim.units import MICROSECONDS, MILLISECONDS, SECONDS
 from repro.workloads import run_ping

@@ -40,7 +40,7 @@ from repro.fleet.durability import (
     verify_fleet_report,
 )
 from repro.fleet.node import node_seed, run_node
-from repro.fleet.pool import Outcome, PoolTaskError, pool_imap, pool_map, pool_outcomes
+from repro.fleet.pool import Outcome, PoolTaskError, pool_imap, pool_outcomes
 from repro.fleet.report import (
     canonical_report,
     fleet_markdown,
@@ -61,11 +61,10 @@ from repro.fleet.spec import (
     FleetSpec,
     NodeSpec,
     PRESETS,
-    TRAFFIC_PROFILES,
-    WorkloadMix,
     load_fleet_spec,
     uniform_spec,
 )
+from repro.scenario.spec import TRAFFIC_PROFILES, WorkloadMix
 
 __all__ = [
     "CheckpointError",
@@ -95,7 +94,6 @@ __all__ = [
     "merge_interval_series",
     "node_seed",
     "pool_imap",
-    "pool_map",
     "pool_outcomes",
     "render_top",
     "run_fleet",

@@ -18,11 +18,7 @@ this to produce byte-identical reports at any ``--jobs`` level.
 import os
 
 from repro.fleet.durability import failure_envelope, maybe_inject_chaos
-
-# The canonical attainment helper lives in repro.metrics.stats; re-exported
-# because the aggregator and tests historically import it from here.
 from repro.fleet.spec import NodeSpec
-from repro.metrics.stats import attainment_pct  # noqa: F401
 from repro.obs import observe, write_jsonl
 from repro.scenario.soak import run_soak
 from repro.sim.rng import derive_seed

@@ -2,7 +2,7 @@
 
 Two layers with different failure contracts:
 
-* :func:`pool_imap` / :func:`pool_map` — the historical streaming API:
+* :func:`pool_imap` — the historical streaming API:
   results come back in *input* order regardless of completion order,
   ``jobs <= 1`` (or a single item) never touches ``multiprocessing``,
   and a worker exception aborts the stream — but wrapped in a
@@ -84,11 +84,6 @@ def pool_imap(fn, payloads, jobs=1, label=None):
                 for pending in futures[index + 1:]:
                     pending.cancel()
                 raise PoolTaskError(index, _label(index), exc) from exc
-
-
-def pool_map(fn, payloads, jobs=1, label=None):
-    """Like :func:`pool_imap` but collected into a list."""
-    return list(pool_imap(fn, payloads, jobs=jobs, label=label))
 
 
 # -- The durable outcome API ---------------------------------------------------

@@ -19,13 +19,7 @@ from dataclasses import dataclass, replace
 
 from repro.fleet.durability import RetryPolicy, normalize_chaos
 
-# WorkloadMix and TRAFFIC_PROFILES moved to repro.scenario.spec with the
-# scenario layer; re-exported here because fleet callers predate it.
-from repro.scenario.spec import (  # noqa: F401
-    Scenario,
-    TRAFFIC_PROFILES,
-    WorkloadMix,
-)
+from repro.scenario.spec import Scenario, WorkloadMix
 
 
 class NodeSpec:
@@ -35,8 +29,8 @@ class NodeSpec:
     and dp_boost/degradation flags all live in the embedded scenario.
     The historical flat keyword surface (``deployment=``, ``traffic=``,
     ``workload=``, ``dp_boost=``, ``degradation=``, ``faults=``) still
-    constructs, and the matching read-only properties still resolve, so
-    existing specs, JSON files and callers keep working.
+    constructs, so existing specs and flat JSON files keep loading; the
+    fields are read through ``node.scenario``.
     """
 
     def __init__(self, node_id, scenario=None, *, deployment=None,
@@ -74,32 +68,6 @@ class NodeSpec:
                 degradation=bool(degradation),
                 faults=faults,
             )
-
-    # -- Flat views into the embedded scenario ------------------------------------
-
-    @property
-    def deployment(self):
-        return self.scenario.arm
-
-    @property
-    def traffic(self):
-        return self.scenario.traffic
-
-    @property
-    def workload(self):
-        return self.scenario.workload
-
-    @property
-    def dp_boost(self):
-        return self.scenario.dp_boost
-
-    @property
-    def degradation(self):
-        return self.scenario.degradation
-
-    @property
-    def faults(self):
-        return self.scenario.faults
 
     def fault_plan(self):
         """Resolve the scenario's faults to a :class:`FaultPlan` (or None)."""

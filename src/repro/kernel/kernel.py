@@ -122,14 +122,8 @@ class Kernel:
                 for vector, payload in orphans:
                     self.softirq.raise_softirq(target, vector, payload)
 
-    def online_cpus(self):
-        return [cpu for cpu in self.cpus.values() if cpu.online]
-
     def physical_cpus(self):
         return [cpu for cpu in self.cpus.values() if not cpu.is_virtual]
-
-    def virtual_cpus(self):
-        return [cpu for cpu in self.cpus.values() if cpu.is_virtual]
 
     # -- Thread management ---------------------------------------------------------
 
@@ -292,9 +286,6 @@ class Kernel:
 
     def record_nonpreemptible(self, duration_ns):
         self.nonpreemptible.add(duration_ns)
-
-    def total_busy_ns(self):
-        return sum(cpu.busy_ns for cpu in self.cpus.values())
 
     def metrics_snapshot(self):
         """Kernel-wide stats for the metrics registry (lazy source)."""

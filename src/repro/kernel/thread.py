@@ -72,11 +72,6 @@ class KThread:
     def can_run_on(self, cpu_id):
         return self.affinity is None or cpu_id in self.affinity
 
-    def runnable_on(self, cpu_ids):
-        if self.affinity is None:
-            return True
-        return bool(self.affinity & set(cpu_ids))
-
     def __repr__(self):
         return (
             f"<KThread {self.name!r} tid={self.tid} state={self.state.value} "

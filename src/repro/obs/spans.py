@@ -685,17 +685,6 @@ def critical_path_report(trees, exemplar_k=DEFAULT_EXEMPLAR_K):
     return report
 
 
-def trees_from_streams(streams):
-    """Merge :func:`build_span_trees` over ``[(label, events, meta)]``
-    triples (or anything yielding events at index 1)."""
-    merged = {}
-    for entry in streams:
-        events = entry[1] if isinstance(entry, tuple) or (
-            isinstance(entry, (list,)) and len(entry) >= 2) else entry
-        merged.update(build_span_trees(events))
-    return merged
-
-
 # -- Text rendering ------------------------------------------------------------
 
 

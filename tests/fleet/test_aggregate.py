@@ -1,8 +1,7 @@
 """Aggregation math: fleet blocks must equal stats over the pooled samples."""
 
 from repro.fleet import aggregate_fleet, aggregate_nodes, worst_nodes
-from repro.fleet.node import attainment_pct
-from repro.metrics.stats import summarize
+from repro.metrics.stats import attainment_pct, summarize
 
 
 def _node(node_id, deployment, dp_samples, startups, dp_slo=100.0,

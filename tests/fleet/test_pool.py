@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.fleet import Outcome, PoolTaskError, pool_imap, pool_map, pool_outcomes
+from repro.fleet import Outcome, PoolTaskError, pool_imap, pool_outcomes
 from repro.fleet.durability import RetryPolicy, is_failure_envelope
 
 
@@ -46,31 +46,32 @@ def _prepare(payload, attempt, parallel):
 def test_serial_and_parallel_agree():
     payloads = list(range(6))
     expected = [_square(p) for p in payloads]
-    assert pool_map(_square, payloads, jobs=1) == expected
-    assert pool_map(_square, payloads, jobs=3) == expected
+    assert list(pool_imap(_square, payloads, jobs=1)) == expected
+    assert list(pool_imap(_square, payloads, jobs=3)) == expected
 
 
 def test_more_jobs_than_payloads():
     # The pool must clamp workers to the payload count, not reject.
-    assert pool_map(_square, [1, 2, 3], jobs=16) == [1, 4, 9]
+    assert list(pool_imap(_square, [1, 2, 3], jobs=16)) == [1, 4, 9]
 
 
 def test_empty_payload_list():
-    assert pool_map(_square, [], jobs=4) == []
+    assert list(pool_imap(_square, [], jobs=4)) == []
     assert list(pool_imap(_square, [], jobs=1)) == []
 
 
 def test_input_order_despite_reverse_completion():
     count = 4
     payloads = [(index, count) for index in range(count)]
-    assert pool_map(_sleep_inverse, payloads, jobs=count) == list(range(count))
+    assert list(pool_imap(_sleep_inverse, payloads, jobs=count)) \
+        == list(range(count))
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_worker_error_wrapped_with_index_and_label(jobs):
     with pytest.raises(PoolTaskError) as excinfo:
-        pool_map(_boom_on_two, [0, 1, 2, 3], jobs=jobs,
-                 label=lambda payload: f"node-{payload}")
+        list(pool_imap(_boom_on_two, [0, 1, 2, 3], jobs=jobs,
+                       label=lambda payload: f"node-{payload}"))
     err = excinfo.value
     assert err.index == 2
     assert err.label == "node-2"
@@ -80,7 +81,7 @@ def test_worker_error_wrapped_with_index_and_label(jobs):
 
 def test_worker_error_without_label_names_index():
     with pytest.raises(PoolTaskError, match="payload 1"):
-        pool_map(_boom_on_two, [0, 2], jobs=1)
+        list(pool_imap(_boom_on_two, [0, 2], jobs=1))
 
 
 # -- pool_outcomes -------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_capture_dir_feeds_analyzer(tmp_path):
 def test_faulted_node_reports_injections():
     # rack-05 rides out a probe outage behind the degradation layer.
     rack = FleetSpec.preset("rack")
-    node = next(n for n in rack.nodes if n.faults is not None)
+    node = next(n for n in rack.nodes if n.scenario.faults is not None)
     payload = {
         "node": node.to_dict(),
         "root_seed": 0,

@@ -15,9 +15,9 @@ from repro.fleet import (
 
 def test_nodespec_defaults():
     node = NodeSpec(node_id="n0")
-    assert node.deployment == "taichi"
-    assert node.traffic == "bursty"
-    assert isinstance(node.workload, WorkloadMix)
+    assert node.scenario.arm == "taichi"
+    assert node.scenario.traffic == "bursty"
+    assert isinstance(node.scenario.workload, WorkloadMix)
     assert node.fault_plan() is None
 
 
@@ -44,6 +44,20 @@ def test_nodespec_boost_and_degradation_need_taichi():
     # Fine on any Tai Chi-family class.
     NodeSpec(node_id="n0", deployment="taichi-vdp", dp_boost=1,
              degradation=True)
+
+
+def test_flat_node_dict_still_loads():
+    # The historical flat form loads into the embedded scenario; its
+    # fields are read through node.scenario, not mirrored on the node.
+    node = NodeSpec.from_dict({"node_id": "n0", "deployment": "static",
+                               "traffic": "spiky", "faults": "probe_outage",
+                               "workload": WorkloadMix(dp_utilization=0.5)})
+    assert node.scenario.arm == "static"
+    assert node.scenario.traffic == "spiky"
+    assert node.scenario.faults == "probe_outage"
+    assert node.scenario.workload.dp_utilization == 0.5
+    assert not hasattr(node, "deployment")
+    assert NodeSpec.from_dict(node.to_dict()).to_dict() == node.to_dict()
 
 
 def test_nodespec_fault_preset_resolves():
@@ -78,7 +92,7 @@ def test_fleet_json_roundtrip(tmp_path):
     loaded = FleetSpec.from_json(path)
     assert loaded.to_dict() == spec.to_dict()
     # Faults survive the trip as resolvable plans.
-    faulted = [node for node in loaded.nodes if node.faults is not None]
+    faulted = [node for node in loaded.nodes if node.scenario.faults is not None]
     assert faulted and isinstance(faulted[0].fault_plan(), FaultPlan)
 
 
@@ -94,11 +108,11 @@ def test_fleet_dict_roundtrip_with_inline_fault_plan():
 def test_presets_shapes():
     rack = FleetSpec.preset("rack")
     assert len(rack) == 8
-    classes = {node.deployment for node in rack.nodes}
+    classes = {node.scenario.arm for node in rack.nodes}
     assert classes == {"taichi", "static"}
     pod = FleetSpec.preset("pod")
     assert len(pod) == 64
-    assert sum(node.deployment == "static" for node in pod.nodes) == 16
+    assert sum(node.scenario.arm == "static" for node in pod.nodes) == 16
 
 
 def test_preset_unknown():

@@ -58,3 +58,23 @@ def test_no_direct_tenancy_manager_construction_outside_tenancy():
         "direct TenancyManager construction outside repro/tenancy — "
         "declare Scenario.tenants and let the soak driver install it:\n"
         + "\n".join(offenders))
+
+
+def test_no_unused_import_suppressions_outside_package_inits():
+    # ``noqa: F401`` outside an ``__init__.py`` is a re-export shim kept
+    # for old import paths; callers import from the defining module.
+    offenders = []
+    for root, _dirs, files in os.walk(_SRC):
+        for name in files:
+            if not name.endswith(".py") or name == "__init__.py":
+                continue
+            path = os.path.join(root, name)
+            with open(path) as handle:
+                for lineno, line in enumerate(handle, 1):
+                    if "noqa: F401" in line:
+                        offenders.append(
+                            f"{os.path.relpath(path, _SRC)}:{lineno}: "
+                            f"{line.strip()}")
+    assert not offenders, (
+        "re-export shim outside a package __init__ — import the name "
+        "from where it is defined:\n" + "\n".join(offenders))
