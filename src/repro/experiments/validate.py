@@ -426,9 +426,9 @@ def _multitenant_md_lines(outcome):
 
 
 def _checker_count():
-    from repro.obs.invariants import DEFAULT_CHECKERS
+    from repro.obs.invariants import default_checkers
 
-    return len(DEFAULT_CHECKERS)
+    return len(default_checkers())
 
 
 def write_experiments_md(path, outcomes, scale, seed, profile=None):

@@ -2,7 +2,8 @@
 
 Each fault window opens with a traced ``fault.injected`` event (carrying a
 stable ``fault`` id) and closes with a matching ``fault.cleared`` — the
-pairing the :class:`~repro.obs.invariants.FaultRecoveryChecker` verifies.
+pairing the ``fault_recovery``
+:class:`~repro.obs.invariants.PairingChecker` verifies.
 Effects go through the simulation's real seams:
 
 * ``ipi_drop``/``ipi_delay`` — a fault hook on :class:`IPIController`'s

@@ -8,6 +8,8 @@ the initial of the thread that occupied it ('v' for donated vCPU slices,
 '.' for idle).
 """
 
+from repro.obs.kinds import SLICES
+
 
 def render_gantt(timeline, start_ns, end_ns, cpu_ids=None, width=100,
                  label_width=8):
@@ -42,8 +44,8 @@ def render_gantt(timeline, start_ns, end_ns, cpu_ids=None, width=100,
     return "\n".join(lines)
 
 
-_OPEN_KINDS = ("sched_in", "vmenter")
-_CLOSE_KINDS = ("sched_out", "vmexit")
+_OPEN_KINDS = tuple(SLICES)
+_CLOSE_KINDS = tuple(SLICES.values())
 
 
 def occupancy_spans(timeline, start_ns=None, end_ns=None):
@@ -58,24 +60,21 @@ def occupancy_spans(timeline, start_ns=None, end_ns=None):
     open_spans = {}
     last_ts = None
     for event in timeline:
-        if end_ns is not None and event.ts_ns > end_ns:
+        ts = event.ts_ns
+        if end_ns is not None and ts > end_ns:
             break
-        last_ts = event.ts_ns
-        if start_ns is not None and event.ts_ns < start_ns:
-            # Track opens that straddle the window start.
-            if event.kind in _OPEN_KINDS:
-                open_spans[event.cpu_id] = (start_ns, _glyph(event))
-            elif event.kind in _CLOSE_KINDS:
-                open_spans.pop(event.cpu_id, None)
-            continue
+        last_ts = ts
         if event.kind in _OPEN_KINDS:
-            open_spans[event.cpu_id] = (event.ts_ns, _glyph(event))
+            if start_ns is not None:
+                ts = max(ts, start_ns)
+            open_spans[event.cpu_id] = (ts, _glyph(event))
         elif event.kind in _CLOSE_KINDS:
             opened = open_spans.pop(event.cpu_id, None)
-            if opened is not None:
+            # A close before the window ends a span the window never shows.
+            if opened is not None and (start_ns is None or ts >= start_ns):
                 opened_ts, glyph = opened
                 spans.setdefault(event.cpu_id, []).append(
-                    (opened_ts, event.ts_ns, glyph))
+                    (opened_ts, ts, glyph))
     horizon = end_ns if end_ns is not None else last_ts
     if horizon is not None:
         for cpu_id, (opened_ts, glyph) in open_spans.items():

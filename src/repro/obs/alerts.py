@@ -12,7 +12,8 @@ breaching intervals and clears only after ``clear_hold`` consecutive
 healthy ones, so a single noisy interval neither pages nor flaps.  Every
 transition is recorded as a paired ``alert.raised`` / ``alert.cleared``
 trace event (board-level, cpu ``"-"``), which the invariant suite checks
-for correct pairing (:class:`~repro.obs.invariants.AlertPairingChecker`).
+for correct pairing (the ``alert_pairing``
+:class:`~repro.obs.invariants.PairingChecker`).
 """
 
 from dataclasses import dataclass, field

@@ -25,6 +25,7 @@ from collections import Counter, deque
 from repro.metrics.stats import summarize
 from repro.metrics.timeline import TimelineEvent
 from repro.obs.invariants import check_events
+from repro.obs.kinds import IPI_DROP_KINDS
 
 _PROFILE_QS = (50, 90, 99)
 
@@ -164,7 +165,7 @@ def analyze_events(events, dropped=0):
                 ipi_latencies.append(event.ts_ns - queue.popleft())
             else:
                 ipi_unmatched_delivers += 1
-        elif kind in ("fault.ipi_drop", "ipi.dropped"):
+        elif kind in IPI_DROP_KINDS:
             if kind == "fault.ipi_drop":
                 ipi_fault_drops += 1
             else:

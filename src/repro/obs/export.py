@@ -6,7 +6,8 @@ Three formats:
   :func:`write_chrome_trace`) — loadable in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``.  ``sched_in/out``
   and ``vmenter/vmexit`` pairs become duration slices, ``rq_depth``
-  becomes a counter track, everything else becomes instant events.
+  becomes a counter track, everything else becomes instant events
+  whose category is the kind's layer in :mod:`repro.obs.kinds`.
 * **JSONL event stream** (:func:`write_jsonl`) — one JSON object per
   event, for ad-hoc ``jq``/pandas querying.
 * **Text summary** (:meth:`MetricsRegistry.to_text` plus
@@ -20,26 +21,24 @@ simulation environment; each stream becomes one Chrome ``pid``).
 import enum
 import json
 
-# Slice pairs: begin-kind -> (end-kind, category, name function).
-_SLICE_BEGIN = {
-    "sched_in": ("sched_out", "kernel",
-                 lambda e: str(e.detail.get("thread", "?"))),
-    "vmenter": ("vmexit", "virt",
-                lambda e: f"vcpu {e.detail.get('vcpu', '?')}"),
-}
-_SLICE_END = {end: begin for begin, (end, _, _) in _SLICE_BEGIN.items()}
+from repro.obs.kinds import KINDS, SLICES
+
+_SLICE_END = {end: begin for begin, end in SLICES.items()}
 
 # Counter-track kinds: kind -> args key holding the sampled value.
 _COUNTER_KINDS = {"rq_depth": "depth"}
 
-_CATEGORIES = {
-    "enqueue": "kernel", "cpu_online": "kernel", "thread_exit": "kernel",
-    "softirq_raise": "kernel", "softirq_run": "kernel",
-    "ipi_send": "ipi", "ipi_deliver": "ipi", "ipi_route": "ipi",
-    "hwprobe_irq": "probe", "threshold_adapt": "probe",
-    "dp_idle_yield": "dp",
-    "slice_adapt": "core", "lock_safe_migrate": "core",
-}
+
+def _category(kind):
+    """Chrome ``cat`` of a kind: its catalog layer."""
+    spec = KINDS.get(kind)
+    return spec.layer if spec is not None else "misc"
+
+
+def _slice_name(begin):
+    if begin.kind == "vmenter":
+        return f"vcpu {begin.detail.get('vcpu', '?')}"
+    return str(begin.detail.get("thread", "?"))
 
 
 def _jsonable(value):
@@ -113,7 +112,7 @@ def chrome_trace(trace_source):
             ts_us = event.ts_ns / 1000.0
             last_ts = max(last_ts, event.ts_ns)
             kind = event.kind
-            if kind in _SLICE_BEGIN:
+            if kind in SLICES:
                 opens[(event.cpu_id, kind)] = event
                 continue
             if kind in _SLICE_END:
@@ -124,16 +123,16 @@ def chrome_trace(trace_source):
                     # degrade to an instant so the event still shows up.
                     trace_events.append({
                         "ph": "i", "s": "t", "name": kind,
-                        "cat": _SLICE_BEGIN[begin_kind][1],
+                        "cat": _category(begin_kind),
                         "ts": ts_us, "pid": pid, "tid": tid_for(event.cpu_id),
                         "args": _args(event),
                     })
                     continue
-                _, cat, name_fn = _SLICE_BEGIN[begin_kind]
                 args = _args(begin)
                 args.update(_args(event))
                 trace_events.append({
-                    "ph": "X", "name": name_fn(begin), "cat": cat,
+                    "ph": "X", "name": _slice_name(begin),
+                    "cat": _category(begin_kind),
                     "ts": begin.ts_ns / 1000.0,
                     "dur": (event.ts_ns - begin.ts_ns) / 1000.0,
                     "pid": pid, "tid": tid_for(event.cpu_id), "args": args,
@@ -196,16 +195,16 @@ def chrome_trace(trace_source):
                 continue
             trace_events.append({
                 "ph": "i", "s": "t", "name": kind,
-                "cat": _CATEGORIES.get(kind, "misc"),
+                "cat": _category(kind),
                 "ts": ts_us, "pid": pid, "tid": tid_for(event.cpu_id),
                 "args": _args(event),
             })
 
         # Close slices still open at trace end so they remain visible.
         for (cpu_id, begin_kind), begin in opens.items():
-            _, cat, name_fn = _SLICE_BEGIN[begin_kind]
             trace_events.append({
-                "ph": "X", "name": name_fn(begin), "cat": cat,
+                "ph": "X", "name": _slice_name(begin),
+                "cat": _category(begin_kind),
                 "ts": begin.ts_ns / 1000.0,
                 "dur": max((last_ts - begin.ts_ns) / 1000.0, 0.001),
                 "pid": pid, "tid": tid_for(cpu_id),

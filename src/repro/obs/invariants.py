@@ -21,6 +21,8 @@ problem because hooks see events before the capacity policy drops them.
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.obs.kinds import IPI_DROP_KINDS, KINDS
+
 
 @dataclass
 class Violation:
@@ -53,10 +55,12 @@ class InvariantChecker:
 
     Both return an iterable of :class:`Violation`.  Checkers are cheap,
     single-pass, and keep O(open-state) memory so they can run inline on
-    multi-million-event streams.
+    multi-million-event streams.  :class:`InvariantEngine` feeds a
+    checker only the ``kinds`` it declares; ``None`` means every event.
     """
 
     name = "invariant"
+    kinds = None
 
     def observe(self, event):
         return ()
@@ -99,8 +103,7 @@ class IpiDeliveryBound(InvariantChecker):
     """
 
     name = "ipi_delivery_bound"
-
-    _DROP_KINDS = ("fault.ipi_drop", "ipi.dropped")
+    kinds = ("ipi_send", "ipi_deliver", "fault.ipi_delay", *IPI_DROP_KINDS)
 
     def __init__(self, bound_ns=1_000_000):
         self.bound_ns = int(bound_ns)
@@ -119,7 +122,7 @@ class IpiDeliveryBound(InvariantChecker):
                 return ()
             self._pending.setdefault(key, deque()).append(event)
             return ()
-        if event.kind in self._DROP_KINDS:
+        if event.kind in IPI_DROP_KINDS:
             # Injected or offline drop: forgive the oldest in-flight send.
             key = (event.cpu_id, event.detail.get("vector"))
             queue = self._pending.get(key)
@@ -134,9 +137,7 @@ class IpiDeliveryBound(InvariantChecker):
                 self._delay_grace.get(key, 0)
                 + int(event.detail.get("extra_ns", 0)))
             return ()
-        if event.kind != "ipi_deliver":
-            return ()
-        key = (event.cpu_id, event.detail.get("vector"))
+        key = (event.cpu_id, event.detail.get("vector"))  # ipi_deliver
         queue = self._pending.get(key)
         if not queue:
             return ()
@@ -177,59 +178,107 @@ class IpiDeliveryBound(InvariantChecker):
         return out
 
 
-class SlicePairNesting(InvariantChecker):
-    """``sched_in/out`` and ``vmenter/vmexit`` must pair up per CPU.
+#: Pairing checker name -> (begin kinds, message templates).  Templates
+#: format with ``id`` (the last key value), ``kind`` (the offending
+#: event's kind) and ``begin`` (its begin kind), plus ``stale_ts`` for a
+#: repeated begin, ``ts`` for a begin open at stream end, and
+#: ``field``/``got``/``want`` for an end that disagrees with its begin.
+PAIRINGS = {
+    "slice_pair_nesting": (("sched_in", "vmenter"), {
+        "twice": "nested {kind} on cpu {id!r}: previous {kind} at "
+                 "{stale_ts} ns never closed",
+        "orphan": "unpaired {kind} on cpu {id!r}: no open {begin}",
+        "mismatch": "{kind} on cpu {id!r} closes {field}={got!r} but the "
+                    "open {begin} was {field}={want!r}",
+    }),
+    "fault_recovery": (("fault.injected",), {
+        "twice": "fault {id!r} injected twice without an intervening clear",
+        "orphan": "fault {id!r} cleared but never injected",
+        "open": "fault {id!r} injected at {ts} ns was never cleared",
+    }),
+    "alert_pairing": (("alert.raised",), {
+        "twice": "alert {id!r} raised twice without an intervening clear",
+        "orphan": "alert {id!r} cleared but never raised",
+    }),
+    "span_pairing": (("span.begin",), {
+        "twice": "span {id!r} begun twice without an end",
+        "orphan": "span {id!r} ended but never begun",
+    }),
+}
 
-    A begin while the same kind is already open on that CPU, an end with
-    no open begin, or an end naming a different thread/vCPU than its
-    begin are all violations.  Slices still open at stream end are legal
-    (the run simply stopped mid-slice).
+
+class PairingChecker(InvariantChecker):
+    """Begin/end pairs declared in :mod:`repro.obs.kinds` must pair up.
+
+    ``name`` picks one family from :data:`PAIRINGS`.  Each begin is keyed
+    on its catalog ``key`` fields: a second begin on an open key, an end
+    with no open begin, or an end that disagrees with its begin on a
+    ``match`` field is a violation.  A begin still open at stream end is
+    one only where the catalog sets ``open_is_violation``: an injected
+    fault never cleared means the injector lost its revert path, while a
+    run may simply stop mid-slice, mid-incident or mid-request.
     """
 
-    name = "slice_pair_nesting"
+    def __init__(self, name):
+        self.name = name
+        begins, self._messages = PAIRINGS[name]
+        self._begins = {kind: KINDS[kind] for kind in begins}
+        self._ends = {spec.end: spec for spec in self._begins.values()}
+        self.kinds = (*self._begins, *self._ends)
+        self._open = {}        # (begin kind, *key values) -> begin event
 
-    _PAIRS = {"sched_in": ("sched_out", "thread"),
-              "vmenter": ("vmexit", "vcpu")}
-    _ENDS = {end: (begin, ident) for begin, (end, ident) in _PAIRS.items()}
+    @staticmethod
+    def _key(spec, event):
+        detail = event.detail
+        return (spec.name, *[event.cpu_id if field == "cpu"
+                             else detail.get(field) for field in spec.key])
 
-    def __init__(self):
-        self._open = {}        # (cpu, begin_kind) -> begin event
+    def _violation(self, message, key, event, context=(), **fields):
+        text = self._messages[message].format(id=key[-1], kind=event.kind,
+                                              **fields)
+        return [Violation(self.name, text, event, context=context)]
 
     def observe(self, event):
-        kind = event.kind
-        if kind in self._PAIRS:
-            key = (event.cpu_id, kind)
+        spec = self._begins.get(event.kind)
+        if spec is not None:
+            key = self._key(spec, event)
             stale = self._open.get(key)
             self._open[key] = event
             if stale is not None:
-                return [Violation(
-                    self.name,
-                    f"nested {kind} on cpu {event.cpu_id!r}: previous "
-                    f"{kind} at {stale.ts_ns} ns never closed",
-                    event,
-                    context=(stale,),
-                )]
-            return ()
-        if kind in self._ENDS:
-            begin_kind, ident = self._ENDS[kind]
-            begin = self._open.pop((event.cpu_id, begin_kind), None)
-            if begin is None:
-                return [Violation(
-                    self.name,
-                    f"unpaired {kind} on cpu {event.cpu_id!r}: no open "
-                    f"{begin_kind}",
-                    event,
-                )]
-            if begin.detail.get(ident) != event.detail.get(ident):
-                return [Violation(
-                    self.name,
-                    f"{kind} on cpu {event.cpu_id!r} closes "
-                    f"{ident}={event.detail.get(ident)!r} but the open "
-                    f"{begin_kind} was {ident}={begin.detail.get(ident)!r}",
-                    event,
-                    context=(begin,),
-                )]
+                return self._violation("twice", key, event, (stale,),
+                                       stale_ts=stale.ts_ns)
+            return self.begun(event)
+        spec = self._ends[event.kind]
+        key = self._key(spec, event)
+        begin = self._open.pop(key, None)
+        if begin is None:
+            return self._violation("orphan", key, event, begin=spec.name)
+        for field in spec.match:
+            want, got = begin.detail.get(field), event.detail.get(field)
+            if want != got:
+                return self._violation("mismatch", key, event, (begin,),
+                                       begin=spec.name, field=field,
+                                       got=got, want=want)
+        return self.ended(begin, event)
+
+    def begun(self, event):
+        """Family-specific checks on a first begin; returns violations."""
         return ()
+
+    def ended(self, begin, event):
+        """Family-specific checks on a matched end; returns violations."""
+        return ()
+
+    def finish(self, last_ts_ns):
+        out = []
+        for key in sorted(key for key in self._open
+                          if self._begins[key[0]].open_is_violation):
+            begin = self._open[key]
+            until_ns = begin.detail.get("until_ns")
+            if isinstance(until_ns, int) and last_ts_ns < until_ns:
+                continue  # the capture simply ended inside the window
+            out.extend(self._violation("open", key, begin, ts=begin.ts_ns))
+        return out
 
 
 class SingleCpuPerThread(InvariantChecker):
@@ -237,6 +286,7 @@ class SingleCpuPerThread(InvariantChecker):
     one CPU at a time."""
 
     name = "single_cpu_per_thread"
+    kinds = ("sched_in", "sched_out")
 
     def __init__(self):
         self._running = {}     # thread -> sched_in event
@@ -254,7 +304,7 @@ class SingleCpuPerThread(InvariantChecker):
                     event,
                     context=(active,),
                 )]
-        elif event.kind == "sched_out":
+        else:
             thread = event.detail.get("thread")
             active = self._running.get(thread)
             if active is not None and active.cpu_id == event.cpu_id:
@@ -272,6 +322,7 @@ class IdleYieldThreshold(InvariantChecker):
     """
 
     name = "idle_yield_threshold"
+    kinds = ("vmexit", "dp_idle_yield")
 
     def __init__(self, poll_ns=200):
         self.poll_ns = int(poll_ns)
@@ -280,8 +331,6 @@ class IdleYieldThreshold(InvariantChecker):
     def observe(self, event):
         if event.kind == "vmexit":
             self._floor[event.cpu_id] = event
-            return ()
-        if event.kind != "dp_idle_yield":
             return ()
         floor = self._floor.get(event.cpu_id)
         self._floor[event.cpu_id] = event
@@ -340,173 +389,50 @@ class RunQueueDepthConsistency(InvariantChecker):
         return ()
 
 
-class FaultRecoveryChecker(InvariantChecker):
-    """Every injected fault must be cleared, and clears must have causes.
+class SpanPairingChecker(PairingChecker):
+    """Span pairing plus parent nesting.
 
-    The fault injector brackets each fault occurrence with
-    ``fault.injected`` / ``fault.cleared`` events sharing a ``fault`` id.
-    A clear with no matching injection is a corrupt stream; an injection
-    never cleared by stream end means the injector (or the simulation it
-    wedged) lost the revert path.
+    A child's begin must fall inside an open parent carrying the same
+    request id, and a parent must not end while any of its children are
+    still open.
     """
 
-    name = "fault_recovery"
-
     def __init__(self):
-        self._open = {}        # fault id -> fault.injected event
-
-    def observe(self, event):
-        if event.kind == "fault.injected":
-            fault_id = event.detail.get("fault")
-            stale = self._open.get(fault_id)
-            self._open[fault_id] = event
-            if stale is not None:
-                return [Violation(
-                    self.name,
-                    f"fault {fault_id!r} injected twice without an "
-                    f"intervening clear",
-                    event,
-                    context=(stale,),
-                )]
-            return ()
-        if event.kind != "fault.cleared":
-            return ()
-        fault_id = event.detail.get("fault")
-        if self._open.pop(fault_id, None) is None:
-            return [Violation(
-                self.name,
-                f"fault {fault_id!r} cleared but never injected",
-                event,
-            )]
-        return ()
-
-    def finish(self, last_ts_ns):
-        out = []
-        for fault_id, event in sorted(self._open.items()):
-            until_ns = event.detail.get("until_ns")
-            if isinstance(until_ns, int) and last_ts_ns < until_ns:
-                continue  # the capture simply ended inside the window
-            out.append(Violation(
-                self.name,
-                f"fault {fault_id!r} injected at {event.ts_ns} ns was "
-                f"never cleared",
-                event,
-            ))
-        return out
-
-
-class AlertPairingChecker(InvariantChecker):
-    """``alert.raised`` / ``alert.cleared`` must pair per alert name.
-
-    The SLO monitor's hysteresis state machine guarantees one active
-    firing per rule: a second raise without an intervening clear means
-    the monitor's bookkeeping broke, and a clear with no open raise is a
-    corrupt stream.  Alerts still active at stream end are legal (the
-    run ended mid-incident), mirroring :class:`FaultRecoveryChecker`.
-    """
-
-    name = "alert_pairing"
-
-    def __init__(self):
-        self._open = {}        # (node, alert name) -> alert.raised event
-
-    @staticmethod
-    def _key(event):
-        return (event.detail.get("node"), event.detail.get("alert"))
-
-    def observe(self, event):
-        if event.kind == "alert.raised":
-            key = self._key(event)
-            stale = self._open.get(key)
-            self._open[key] = event
-            if stale is not None:
-                return [Violation(
-                    self.name,
-                    f"alert {key[1]!r} raised twice without an "
-                    f"intervening clear",
-                    event,
-                    context=(stale,),
-                )]
-            return ()
-        if event.kind != "alert.cleared":
-            return ()
-        key = self._key(event)
-        if self._open.pop(key, None) is None:
-            return [Violation(
-                self.name,
-                f"alert {key[1]!r} cleared but never raised",
-                event,
-            )]
-        return ()
-
-
-class SpanPairingChecker(InvariantChecker):
-    """``span.begin`` / ``span.end`` must pair, and children must nest.
-
-    Each span id may begin once and end once; a child's begin must fall
-    inside an open parent carrying the same request id, and a parent must
-    not end while any of its children are still open.  Spans still open
-    at stream end are legal (the run ended mid-request — startups past
-    the drain horizon, packets still queued), mirroring
-    :class:`AlertPairingChecker`.
-    """
-
-    name = "span_pairing"
-
-    def __init__(self):
-        self._open = {}           # span id -> span.begin event
+        super().__init__("span_pairing")
         self._open_children = {}  # parent span id -> open child count
 
-    def observe(self, event):
-        if event.kind == "span.begin":
-            detail = event.detail
-            span_id = detail.get("span")
-            stale = self._open.get(span_id)
-            self._open[span_id] = event
-            if stale is not None:
-                return [Violation(
-                    self.name,
-                    f"span {span_id!r} begun twice without an end",
-                    event,
-                    context=(stale,),
-                )]
-            parent = detail.get("parent")
-            if parent is not None:
-                parent_begin = self._open.get(parent)
-                if parent_begin is None:
-                    return [Violation(
-                        self.name,
-                        f"span {span_id!r} begun under parent {parent!r} "
-                        f"which is not open",
-                        event,
-                    )]
-                if (parent_begin.detail.get("request")
-                        != detail.get("request")):
-                    return [Violation(
-                        self.name,
-                        f"span {span_id!r} (request "
-                        f"{detail.get('request')!r}) nests under parent "
-                        f"{parent!r} of request "
-                        f"{parent_begin.detail.get('request')!r}",
-                        event,
-                        context=(parent_begin,),
-                    )]
-                self._open_children[parent] = (
-                    self._open_children.get(parent, 0) + 1)
+    def begun(self, event):
+        detail = event.detail
+        parent = detail.get("parent")
+        if parent is None:
             return ()
-        if event.kind != "span.end":
-            return ()
-        span_id = event.detail.get("span")
-        begin = self._open.pop(span_id, None)
-        if begin is None:
+        span_id = detail.get("span")
+        parent_begin = self._open.get(("span.begin", parent))
+        if parent_begin is None:
             return [Violation(
                 self.name,
-                f"span {span_id!r} ended but never begun",
+                f"span {span_id!r} begun under parent {parent!r} "
+                f"which is not open",
                 event,
             )]
+        if parent_begin.detail.get("request") != detail.get("request"):
+            return [Violation(
+                self.name,
+                f"span {span_id!r} (request "
+                f"{detail.get('request')!r}) nests under parent "
+                f"{parent!r} of request "
+                f"{parent_begin.detail.get('request')!r}",
+                event,
+                context=(parent_begin,),
+            )]
+        self._open_children[parent] = self._open_children.get(parent, 0) + 1
+        return ()
+
+    def ended(self, begin, event):
         parent = begin.detail.get("parent")
         if parent is not None and self._open_children.get(parent):
             self._open_children[parent] -= 1
+        span_id = event.detail.get("span")
         if self._open_children.pop(span_id, 0):
             return [Violation(
                 self.name,
@@ -530,13 +456,12 @@ class TenantFairShareChecker(InvariantChecker):
     """
 
     name = "tenant_fair_share"
+    kinds = ("tenant.pick",)
 
     def __init__(self, slack_ns=1_000):
         self.slack_ns = int(slack_ns)
 
     def observe(self, event):
-        if event.kind != "tenant.pick":
-            return ()
         chosen = event.detail.get("tenant")
         usage_ns = event.detail.get("usage_ns", 0)
         out = []
@@ -564,14 +489,13 @@ class TenantGrantConservation(InvariantChecker):
     """
 
     name = "tenant_grant_conservation"
+    kinds = ("tenant.grant",)
 
     def __init__(self):
         self._per_tenant = {}
         self._total = 0
 
     def observe(self, event):
-        if event.kind != "tenant.grant":
-            return ()
         tenant = event.detail.get("tenant")
         slice_ns = event.detail.get("ns", 0)
         expected_tenant = self._per_tenant.get(tenant, 0) + slice_ns
@@ -600,24 +524,21 @@ class TenantGrantConservation(InvariantChecker):
         return out
 
 
-DEFAULT_CHECKERS = (
-    MonotonicTimestamps,
-    IpiDeliveryBound,
-    SlicePairNesting,
-    SingleCpuPerThread,
-    IdleYieldThreshold,
-    RunQueueDepthConsistency,
-    FaultRecoveryChecker,
-    AlertPairingChecker,
-    SpanPairingChecker,
-    TenantFairShareChecker,
-    TenantGrantConservation,
-)
-
-
 def default_checkers():
     """Fresh instances of the full checker catalog."""
-    return [checker() for checker in DEFAULT_CHECKERS]
+    return [
+        MonotonicTimestamps(),
+        IpiDeliveryBound(),
+        PairingChecker("slice_pair_nesting"),
+        SingleCpuPerThread(),
+        IdleYieldThreshold(),
+        RunQueueDepthConsistency(),
+        PairingChecker("fault_recovery"),
+        PairingChecker("alert_pairing"),
+        SpanPairingChecker(),
+        TenantFairShareChecker(),
+        TenantGrantConservation(),
+    ]
 
 
 @dataclass
@@ -625,9 +546,9 @@ class InvariantEngine:
     """Runs a set of checkers over one event stream.
 
     Feed events through :meth:`observe` (usable directly as a tracer
-    hook), then call :meth:`finish` once for end-of-stream checks.  Keeps
-    a short ring of recent events and attaches it to each violation as
-    context.
+    hook), then call :meth:`finish` once for end-of-stream checks.  Each
+    event goes only to the checkers that declare its kind.  Keeps a short
+    ring of recent events and attaches it to each violation as context.
     """
 
     checkers: list = None
@@ -641,11 +562,18 @@ class InvariantEngine:
         if self.checkers is None:
             self.checkers = default_checkers()
         self._recent = deque(maxlen=self.context_events)
+        self._routes = {}      # kind -> checkers that declare it
         self._last_ts = 0
         self._finished = False
 
     def observe(self, event):
-        for checker in self.checkers:
+        kind = event.kind
+        checkers = self._routes.get(kind)
+        if checkers is None:
+            checkers = self._routes[kind] = [
+                checker for checker in self.checkers
+                if checker.kinds is None or kind in checker.kinds]
+        for checker in checkers:
             for violation in checker.observe(event):
                 if not violation.context:
                     violation.context = tuple(self._recent)

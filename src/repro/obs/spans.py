@@ -35,6 +35,7 @@ spans-on runs produce byte-identical results to spans-off runs.
 from collections import deque
 
 from repro.metrics.stats import summarize
+from repro.obs.kinds import IPI_DROP_KINDS, SLICES
 
 #: Default tail-exemplar retention per channel.
 DEFAULT_EXEMPLAR_K = 4
@@ -56,8 +57,8 @@ _SEGMENT_NAME = {
 #: Flat-event kinds the tracker's hook actually consumes; everything
 #: else early-returns (the hook runs on every trace event).
 _HANDLED_KINDS = frozenset((
-    "sched_in", "sched_out", "vmenter", "vmexit", "ipi_send",
-    "ipi_deliver", "hwprobe_irq", "fault.ipi_drop", "ipi.dropped",
+    *SLICES, *SLICES.values(), "ipi_send", "ipi_deliver", "hwprobe_irq",
+    *IPI_DROP_KINDS,
 ))
 
 #: Per-CPU closed-interval retention floor; pruned against the oldest
@@ -264,7 +265,7 @@ class SpanTracker:
             self._add_interval(event.cpu_id, event.ts_ns,
                                event.ts_ns + detail.get("latency_ns", 0),
                                "ipi")
-        else:  # fault.ipi_drop / ipi.dropped: that send never delivers
+        else:  # an IPI_DROP_KINDS event: that send never delivers
             queue = self._ipi_pending.get(
                 (event.cpu_id, detail.get("vector")))
             if queue:

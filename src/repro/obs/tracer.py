@@ -8,30 +8,9 @@ probes, DP services — emit their events through it.  The tracer starts
 check (``if tracer.enabled:``), so an untraced run pays one branch per
 potential event and allocates nothing.
 
-Event taxonomy (``docs/observability.md`` has the full reference):
-
-===================  =======================================================
-kind                 meaning
-===================  =======================================================
-``sched_in/out``     a thread started/stopped running on a CPU (slice pair)
-``vmenter/vmexit``   a vCPU slice on a physical CPU (slice pair)
-``enqueue``          a thread became runnable on a CPU's run queue
-``rq_depth``         run-queue depth sample (counter track)
-``softirq_raise``    a softirq vector was marked pending on a CPU
-``softirq_run``      a softirq handler executed
-``ipi_send``         an IPI left the send path (``routed`` = hook took it)
-``ipi_deliver``      an IPI arrived at its destination CPU
-``ipi_route``        the unified orchestrator's routing decision
-``hwprobe_irq``      the hardware workload probe fired a preempt IRQ
-``dp_idle_yield``    a DP service crossed its empty-poll threshold
-``slice_adapt``      the adaptive time slice changed for a vCPU
-``threshold_adapt``  a service's empty-poll threshold changed
-``lock_safe_migrate``a descheduled lock-holder vCPU was re-dispatched
-``cpu_online``       a CPU came online (hotplug/boot)
-``thread_exit``      a thread exited
-``span.begin``       a causal request span opened (``repro.obs.spans``)
-``span.end``         a span closed (roots carry ``duration_ns`` + ``parts``)
-===================  =======================================================
+Every kind emitted through :meth:`Tracer.record` is declared, with its
+layer and required detail fields, in :mod:`repro.obs.kinds`;
+``docs/observability.md`` describes each one.
 """
 
 from repro.metrics.timeline import Timeline

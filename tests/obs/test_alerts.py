@@ -8,7 +8,7 @@ from repro.obs.alerts import (
     SLOMonitor,
     normalize_alert_rules,
 )
-from repro.obs.invariants import AlertPairingChecker
+from repro.obs.invariants import PairingChecker
 from repro.obs import check_events
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import TelemetryBus
@@ -159,21 +159,22 @@ def test_transitions_emit_paired_events_passing_invariants():
     assert raised.detail["node"] == "node"
     assert cleared.detail["duration_ns"] == 1_000
     assert check_events(tracer.events,
-                        checkers=[AlertPairingChecker()]) == []
+                        checkers=[PairingChecker("alert_pairing")]) == []
 
 
 def test_pairing_checker_flags_corrupted_streams():
     tracer = Tracer(enabled=True)
     tracer.record(0, "-", "alert.raised", alert="a", node="n0")
     tracer.record(10, "-", "alert.raised", alert="a", node="n0")
-    double = check_events(tracer.events, checkers=[AlertPairingChecker()])
+    double = check_events(tracer.events,
+                          checkers=[PairingChecker("alert_pairing")])
     assert len(double) == 1
     assert "raised twice" in double[0].message
 
     orphan = Tracer(enabled=True)
     orphan.record(0, "-", "alert.cleared", alert="ghost", node="n0")
     violations = check_events(orphan.events,
-                              checkers=[AlertPairingChecker()])
+                              checkers=[PairingChecker("alert_pairing")])
     assert len(violations) == 1
     assert "never raised" in violations[0].message
 
@@ -182,7 +183,7 @@ def test_alert_active_at_stream_end_is_legal():
     tracer = Tracer(enabled=True)
     tracer.record(0, "-", "alert.raised", alert="a", node="n0")
     assert check_events(tracer.events,
-                        checkers=[AlertPairingChecker()]) == []
+                        checkers=[PairingChecker("alert_pairing")]) == []
 
 
 def test_same_alert_name_on_two_nodes_is_independent():
@@ -191,7 +192,7 @@ def test_same_alert_name_on_two_nodes_is_independent():
     tracer.record(5, "-", "alert.raised", alert="a", node="n1")
     tracer.record(10, "-", "alert.cleared", alert="a", node="n0")
     assert check_events(tracer.events,
-                        checkers=[AlertPairingChecker()]) == []
+                        checkers=[PairingChecker("alert_pairing")]) == []
 
 
 # -- scenario + soak integration -----------------------------------------------
@@ -305,7 +306,7 @@ def test_finish_emits_synthetic_clears_for_open_alerts():
     # The trace stream pairs up, but the summary still reports the
     # incident as open.
     assert check_events(tracer.events,
-                        checkers=[AlertPairingChecker()]) == []
+                        checkers=[PairingChecker("alert_pairing")]) == []
     assert monitor.summary()["active"] == ["degraded"]
     assert monitor.cleared_total == 0
     assert monitor.end_of_run_cleared == 1

@@ -3,13 +3,12 @@
 from repro.metrics.timeline import TimelineEvent
 from repro.obs import InvariantEngine, check_events, default_checkers, observe
 from repro.obs.invariants import (
-    FaultRecoveryChecker,
     IdleYieldThreshold,
     IpiDeliveryBound,
     MonotonicTimestamps,
+    PairingChecker,
     RunQueueDepthConsistency,
     SingleCpuPerThread,
-    SlicePairNesting,
 )
 
 
@@ -60,7 +59,7 @@ def test_unpaired_vmexit_is_flagged():
         ev(30_000, 0, "vmexit", vcpu="v0", reason="slice_expired"),
         ev(31_000, 0, "vmexit", vcpu="v0", reason="slice_expired"),
     ]
-    violations = check_events(events, checkers=[SlicePairNesting()])
+    violations = check_events(events, checkers=[PairingChecker("slice_pair_nesting")])
     assert len(violations) == 1
     assert "unpaired vmexit" in violations[0].message
 
@@ -69,14 +68,14 @@ def test_nested_vmenter_and_identity_mismatch_are_flagged():
     nested = check_events([
         ev(0, 0, "vmenter", vcpu="v0"),
         ev(10, 0, "vmenter", vcpu="v1"),
-    ], checkers=[SlicePairNesting()])
+    ], checkers=[PairingChecker("slice_pair_nesting")])
     assert len(nested) == 1
     assert "nested vmenter" in nested[0].message
 
     mismatch = check_events([
         ev(0, 0, "vmenter", vcpu="v0"),
         ev(10, 0, "vmexit", vcpu="v1", reason="slice_expired"),
-    ], checkers=[SlicePairNesting()])
+    ], checkers=[PairingChecker("slice_pair_nesting")])
     assert len(mismatch) == 1
     assert "v1" in mismatch[0].message and "v0" in mismatch[0].message
 
@@ -86,7 +85,7 @@ def test_slice_open_at_stream_end_is_legal():
         ev(0, 0, "sched_in", thread="t0", rq=0),
         ev(10, 0, "vmenter", vcpu="v0"),
     ]
-    assert check_events(events, checkers=[SlicePairNesting()]) == []
+    assert check_events(events, checkers=[PairingChecker("slice_pair_nesting")]) == []
 
 
 def test_overlapping_sched_in_on_two_cpus_is_flagged():
@@ -203,7 +202,7 @@ def test_paired_fault_inject_and_clear_is_clean():
         ev(1_000, "-", "fault.cleared", fault="ipi_drop-0.0",
            fault_kind="ipi_drop"),
     ]
-    assert check_events(events, checkers=[FaultRecoveryChecker()]) == []
+    assert check_events(events, checkers=[PairingChecker("fault_recovery")]) == []
 
 
 def test_double_injection_without_clear_is_flagged():
@@ -213,14 +212,14 @@ def test_double_injection_without_clear_is_flagged():
         ev(500, "-", "fault.injected", fault="f1", fault_kind="ipi_drop",
            until_ns=1_500),
     ]
-    violations = check_events(events, checkers=[FaultRecoveryChecker()])
+    violations = check_events(events, checkers=[PairingChecker("fault_recovery")])
     assert any("injected twice" in v.message for v in violations)
 
 
 def test_clear_without_injection_is_flagged():
     events = [ev(0, "-", "fault.cleared", fault="ghost",
                  fault_kind="ipi_drop")]
-    violations = check_events(events, checkers=[FaultRecoveryChecker()])
+    violations = check_events(events, checkers=[PairingChecker("fault_recovery")])
     assert len(violations) == 1
     assert "never injected" in violations[0].message
 
@@ -231,7 +230,7 @@ def test_fault_never_cleared_is_flagged_after_its_window():
            until_ns=1_000),
         ev(5_000, 0, "enqueue", thread="t0"),
     ]
-    violations = check_events(events, checkers=[FaultRecoveryChecker()])
+    violations = check_events(events, checkers=[PairingChecker("fault_recovery")])
     assert len(violations) == 1
     assert "never cleared" in violations[0].message
 
@@ -243,7 +242,7 @@ def test_fault_open_at_capture_end_is_legal():
            until_ns=10_000),
         ev(5_000, 0, "enqueue", thread="t0"),
     ]
-    assert check_events(events, checkers=[FaultRecoveryChecker()]) == []
+    assert check_events(events, checkers=[PairingChecker("fault_recovery")]) == []
 
 
 # -- engine plumbing -----------------------------------------------------------
