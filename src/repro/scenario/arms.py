@@ -24,7 +24,7 @@ Dict-valued knobs are coerced to their dataclasses (``taichi_config``
 through :class:`~repro.scenario.spec.Scenario` JSON.
 """
 
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from repro.baselines import DEPLOYMENTS
 from repro.core import DynamicRepartitioner, TaiChiConfig
@@ -140,37 +140,36 @@ def build_arm(name, seed=0, **knobs):
 def _coerce_knobs(knobs):
     """Revive dict-valued knobs (from Scenario JSON) into their dataclasses."""
     revived = dict(knobs)
-    for key, factory in _KNOB_FACTORIES.items():
+    for key, (cls, nested) in _KNOB_FACTORIES.items():
         value = revived.get(key)
         if isinstance(value, dict):
-            revived[key] = factory(value)
+            revived[key] = _revive(key, cls, value, nested)
     return revived
 
 
-def _taichi_config_from_dict(data):
+def _revive(knob, cls, data, nested=None):
+    """``cls(**data)``, reviving ``nested`` dict fields first; an unknown
+    field is a ValueError naming the knob and the field."""
+    accepted = sorted(f.name for f in fields(cls) if f.init)
+    unknown = sorted(set(data) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"knob {knob!r} has no field {unknown[0]!r}; "
+            f"{cls.__name__} accepts {accepted}")
     data = dict(data)
-    costs = data.get("costs")
-    if isinstance(costs, dict):
-        data["costs"] = VirtCosts(**costs)
-    return TaiChiConfig(**data)
+    for key, sub_cls in (nested or {}).items():
+        if isinstance(data.get(key), dict):
+            data[key] = _revive(f"{knob}.{key}", sub_cls, data[key])
+    return cls(**data)
 
 
-def _board_config_from_dict(data):
-    data = dict(data)
-    accelerator = data.get("accelerator")
-    if isinstance(accelerator, dict):
-        data["accelerator"] = AcceleratorParams(**accelerator)
-    kernel = data.get("kernel")
-    if isinstance(kernel, dict):
-        data["kernel"] = KernelParams(**kernel)
-    return BoardConfig(**data)
-
-
+#: Dict-valued knob -> (dataclass, {nested dict field: dataclass}).
 _KNOB_FACTORIES = {
-    "taichi_config": _taichi_config_from_dict,
-    "board_config": _board_config_from_dict,
-    "dp_params": lambda data: DPServiceParams(**data),
-    "engine": lambda data: EngineConfig(**data),
+    "taichi_config": (TaiChiConfig, {"costs": VirtCosts}),
+    "board_config": (BoardConfig, {"accelerator": AcceleratorParams,
+                                   "kernel": KernelParams}),
+    "dp_params": (DPServiceParams, None),
+    "engine": (EngineConfig, None),
 }
 
 

@@ -83,3 +83,25 @@ def test_dict_knobs_are_coerced_to_dataclasses():
         board_config={"accelerator": {"preprocess_ns": 2_700,
                                       "transfer_ns": 500}})
     assert deployment.board.config.accelerator.preprocess_ns == 2_700
+
+
+@pytest.mark.parametrize("knobs, message", [
+    ({"engine": {"bogus": 1}}, "knob 'engine' has no field 'bogus'"),
+    ({"taichi_config": {"slice_ns": 1}},
+     "knob 'taichi_config' has no field 'slice_ns'"),
+    ({"taichi_config": {"costs": {"vmentry_ns": 1}}},
+     "knob 'taichi_config.costs' has no field 'vmentry_ns'"),
+    ({"board_config": {"accelerator": {"stall": 1}}},
+     "knob 'board_config.accelerator' has no field 'stall'"),
+    ({"board_config": {"kernel": {"hz": 1}}},
+     "knob 'board_config.kernel' has no field 'hz'"),
+    ({"board_config": {"n_cpus": 1}},
+     "knob 'board_config' has no field 'n_cpus'"),
+    ({"dp_params": {"poll": 1}}, "knob 'dp_params' has no field 'poll'"),
+])
+def test_dataclass_knobs_reject_unknown_fields_by_name(knobs, message):
+    from repro.scenario import Scenario
+
+    scenario = Scenario.from_dict({"arm": "taichi", "knobs": knobs})
+    with pytest.raises(ValueError, match=message):
+        scenario.build()
