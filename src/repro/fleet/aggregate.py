@@ -50,15 +50,16 @@ def _pooled(blocks):
     dp_merged = _sketch_block(blocks, "dp_sketch", _DP_QS)
     if dp_merged is not None:
         dp_block, dp_sketch = dp_merged
-        dp_total = sum(block.get("dp_slo_total",
-                                 len(block.get("dp_samples_us") or []))
-                       for block in blocks)
     else:
         dp_pool = [value for block in blocks
                    for value in block.get("dp_samples_us") or []]
         dp_block, dp_sketch = summarize(dp_pool, qs=_DP_QS), None
-        dp_total = len(dp_pool)
+    # Attainment pools exact counts on both paths: a block's samples may
+    # be capped or absent, its within/total counts never are.
     dp_within = sum(block["dp_within_slo"] for block in blocks)
+    dp_total = sum(block.get("dp_slo_total",
+                             len(block.get("dp_samples_us") or []))
+                   for block in blocks)
 
     startup_merged = _sketch_block(blocks, "startup_sketch", _STARTUP_QS)
     if startup_merged is not None:

@@ -111,10 +111,10 @@ def _tenant_block(source, runtime, env, slo_ns, alpha):
         "dp_latency_us": summarize(dp_samples_us, qs=(50, 90, 99, 99.9)),
         "dp_slo_us": source.dp_slo_us,
         "dp_slo_declared": runtime.spec.dp_slo_us is not None,
+        # Scored over every probe, not the capped sample reservoir.
         "dp_within_slo": account.within,
-        "dp_slo_total": len(dp_samples_us),
-        "dp_slo_attainment_pct": attainment_pct(account.within,
-                                                len(dp_samples_us)),
+        "dp_slo_total": account.recorder.count,
+        "dp_slo_attainment_pct": account.attainment_pct(),
         "dp_sketch": account.sketch.to_dict(),
         **startup,
         "startup_sketch": QuantileSketch(alpha).extend(startups_ms).to_dict(),

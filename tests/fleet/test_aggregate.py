@@ -158,6 +158,9 @@ def test_mixed_nodes_fall_back_to_raw_path():
     # The raw pool only sees node b's samples (node a shipped none), so
     # the count reflects the samples actually present.
     assert block["dp_latency_us"]["count"] == 1
+    # Attainment still pools every node's exact counts: node a's 2 of 2
+    # (its dp_slo_total) plus node b's 1 of 1 (its sample count).
+    assert block["dp_slo_attainment_pct"] == 100.0 * 3 / 3
 
 
 def test_zero_sample_class_reports_count_zero():

@@ -61,6 +61,16 @@ def test_tenant_blocks_account_for_all_samples_and_grants():
         assert "dp_samples_us" not in block
 
 
+def test_tenant_blocks_count_every_probe_past_the_sample_cap(monkeypatch):
+    import repro.scenario.soak as soak_module
+
+    monkeypatch.setattr(soak_module, "_SAMPLE_CAP", 16)
+    summary = _soak()
+    assert verify_tenant_summary(summary) == []
+    for block in summary["tenants"].values():
+        assert block["dp_slo_total"] == block["dp_sample_count"] > 16
+
+
 def test_weighted_shares_favor_the_heavier_tenant():
     # Identical backlogged workloads, 3:1 weights: the weighted-fair pick
     # must grant the heavier tenant strictly more donated time.
