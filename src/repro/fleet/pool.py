@@ -1,13 +1,15 @@
 """Process-pool fan-out shared by the fleet runner and ``validate --jobs``.
 
-Two layers with different failure contracts:
+One scheduling loop runs every payload to a final :class:`Outcome` and
+yields each as it completes.  Serial runs (``jobs <= 1`` or a single
+payload) go through the same loop with an in-process executor whose
+``submit`` runs the call on the spot, so they never touch
+``multiprocessing``.  Two public views sit on the loop:
 
-* :func:`pool_imap` — the historical streaming API:
-  results come back in *input* order regardless of completion order,
-  ``jobs <= 1`` (or a single item) never touches ``multiprocessing``,
-  and a worker exception aborts the stream — but wrapped in a
-  :class:`PoolTaskError` naming the payload index (and label) that
-  failed, instead of the bare traceback ``pool.map`` used to surface.
+* :func:`pool_imap` — the streaming API: results come back in *input*
+  order regardless of completion order, and a worker exception aborts
+  the stream wrapped in a :class:`PoolTaskError` naming the payload
+  index (and label) that failed.
 * :func:`pool_outcomes` — the durable API the fleet runner uses: every
   payload runs to a structured :class:`Outcome` (success value or a
   typed failure), failures are *contained* per payload instead of
@@ -16,15 +18,21 @@ Two layers with different failure contracts:
   as a ``crash`` attempt against the nodes that were in flight, and a
   per-attempt wall-clock timeout sheds stuck workers.
 
+A failed attempt waits out its backoff off the queue, then re-enters
+at its head: serially with no backoff it runs right after the failed
+attempt; with backoff the remaining payloads run while it waits.
+
 Workers must be module-level functions taking one picklable payload and
 returning one picklable result (the ``ProcessPoolExecutor`` contract).
 """
 
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass
 
 from repro.fleet.durability import RetryPolicy, failure_envelope
 
@@ -52,43 +60,6 @@ class PoolTaskError(RuntimeError):
         super().__init__(f"pool worker failed on {what}: {cause!r}")
 
 
-def pool_imap(fn, payloads, jobs=1, label=None):
-    """Yield ``fn(payload)`` for each payload, in input order.
-
-    With ``jobs > 1`` payloads are fanned out across a process pool via
-    explicit future submission; consumption drives delivery, so callers
-    can print progress as each in-order result lands.  A worker
-    exception surfaces as :class:`PoolTaskError` naming the payload
-    (remaining futures are cancelled); ``label`` maps a payload to a
-    human-readable name for that error.
-    """
-    payloads = list(payloads)
-
-    def _label(index):
-        return label(payloads[index]) if label is not None else None
-
-    if jobs <= 1 or len(payloads) <= 1:
-        for index, payload in enumerate(payloads):
-            try:
-                yield fn(payload)
-            except Exception as exc:
-                raise PoolTaskError(index, _label(index), exc) from exc
-        return
-    with ProcessPoolExecutor(max_workers=min(int(jobs),
-                                             len(payloads))) as pool:
-        futures = [pool.submit(fn, payload) for payload in payloads]
-        for index, future in enumerate(futures):
-            try:
-                yield future.result()
-            except Exception as exc:
-                for pending in futures[index + 1:]:
-                    pending.cancel()
-                raise PoolTaskError(index, _label(index), exc) from exc
-
-
-# -- The durable outcome API ---------------------------------------------------
-
-
 @dataclass
 class Outcome:
     """One payload's terminal result: a value or a typed failure."""
@@ -104,27 +75,28 @@ class Outcome:
         return self.failure is None
 
 
-@dataclass
-class _Task:
-    index: int
-    payload: object
-    label: object = None
-    attempt: int = 1
-    eligible_at: float = 0.0
-    deadline: float = field(default=None)
+def pool_imap(fn, payloads, jobs=1, label=None):
+    """Yield ``fn(payload)`` for each payload, in input order.
 
-
-def _raised_failure(exc, kind="exception"):
-    """Parent-side failure record for an exception a worker *raised*.
-
-    The backstop path: well-behaved fleet workers catch their own
-    exceptions and return an envelope (so the traceback is captured at
-    the raise site); this covers workers that raise anyway — e.g.
-    payloads that fail to unpickle.
+    Consumption drives delivery, so callers can print progress as each
+    in-order result lands.  A worker exception surfaces as
+    :class:`PoolTaskError` naming the payload, with the worker's
+    exception as ``cause``; ``label`` maps a payload to a human-readable
+    name for that error.  Closing the generator (or the error) cancels
+    work that has not started.
     """
-    envelope = failure_envelope("?", 0, exc, kind=kind)
-    return {"kind": kind, "error": envelope["error"],
-            "traceback": envelope["traceback"]}
+    payloads = list(payloads)
+    landed = {}
+    cursor = 0
+    with closing(_schedule(fn, payloads, jobs, label)) as finished:
+        for outcome, exc in finished:
+            landed[outcome.index] = outcome, exc
+            while cursor in landed:
+                outcome, exc = landed.pop(cursor)
+                if not outcome.ok:
+                    raise PoolTaskError(cursor, outcome.label, exc) from exc
+                yield outcome.value
+                cursor += 1
 
 
 def pool_outcomes(fn, payloads, jobs=1, label=None, retry=None,
@@ -158,107 +130,106 @@ def pool_outcomes(fn, payloads, jobs=1, label=None, retry=None,
     Returns outcomes in input order.
     """
     payloads = list(payloads)
-    retry = RetryPolicy.from_value(retry)
-    if jobs <= 1 or len(payloads) <= 1:
-        return _serial_outcomes(fn, payloads, label=label, retry=retry,
-                                prepare=prepare, classify=classify,
-                                on_outcome=on_outcome)
-    return _parallel_outcomes(fn, payloads, jobs=jobs, label=label,
-                              retry=retry, prepare=prepare,
-                              classify=classify, on_outcome=on_outcome)
+    outcomes = [None] * len(payloads)
+    with closing(_schedule(fn, payloads, jobs, label, retry, prepare,
+                           classify)) as finished:
+        for outcome, _ in finished:
+            outcomes[outcome.index] = outcome
+            if on_outcome is not None:
+                on_outcome(outcome)
+    return outcomes
 
 
-def _attempt_failure(value, exc, classify):
-    """The failure record for one finished attempt, or None on success."""
+# -- The scheduling loop ------------------------------------------------------
+
+
+@dataclass
+class _Task:
+    index: int
+    payload: object
+    label: object = None
+    attempt: int = 1
+    eligible_at: float = 0.0
+    deadline: float = None
+
+
+class _InlineExecutor:
+    """The serial executor: ``submit`` runs the call in this process."""
+
+    def submit(self, fn, payload):
+        future = Future()
+        try:
+            future.set_result(fn(payload))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def _attempt_failure(task, value, exc, classify):
+    """The failure record for one finished attempt, or None on success.
+
+    A raised exception is the backstop path: well-behaved fleet workers
+    catch their own exceptions and return an envelope (so the traceback
+    is captured at the raise site); this covers workers that raise
+    anyway — e.g. payloads that fail to unpickle.
+    """
+    if isinstance(exc, BrokenProcessPool):
+        # The pool died while this task was in flight; the parent cannot
+        # tell culprit from bystander, so the crash is charged to each.
+        return {"kind": "crash",
+                "error": f"worker process crashed (attempt {task.attempt}): "
+                         f"{exc!r}",
+                "traceback": []}
     if exc is not None:
-        return _raised_failure(exc)
+        envelope = failure_envelope("?", 0, exc)
+        return {"kind": "exception", "error": envelope["error"],
+                "traceback": envelope["traceback"]}
     if classify is not None and classify(value):
         return dict(value)
     return None
 
 
-def _serial_outcomes(fn, payloads, label, retry, prepare, classify,
-                     on_outcome):
-    outcomes = []
-    for index, payload in enumerate(payloads):
-        name = label(payload) if label is not None else None
-        attempt = 1
-        while True:
-            delay = retry.delay_s(attempt)
-            if delay:
-                time.sleep(delay)
-            prepared = (prepare(payload, attempt, False)
-                        if prepare is not None else payload)
-            value, exc = None, None
-            try:
-                value = fn(prepared)
-            except Exception as caught:
-                exc = caught
-            failure = _attempt_failure(value, exc, classify)
-            if failure is None:
-                outcome = Outcome(index=index, label=name, value=value,
-                                  attempts=attempt)
-                break
-            if attempt >= retry.max_attempts:
-                outcome = Outcome(index=index, label=name, failure=failure,
-                                  attempts=attempt)
-                break
-            attempt += 1
-        outcomes.append(outcome)
-        if on_outcome is not None:
-            on_outcome(outcome)
-    return outcomes
+def _schedule(fn, payloads, jobs, label, retry=None, prepare=None,
+              classify=None):
+    """Yield ``(outcome, exc)`` for each payload as its outcome finalizes.
 
+    ``exc`` is the exception the final attempt raised, if any.  At most
+    ``jobs`` attempts are in flight; serial runs keep one, run it inside
+    ``submit`` and arm no timeout.
+    """
+    retry = RetryPolicy.from_value(retry)
+    parallel = jobs > 1 and len(payloads) > 1
+    workers = min(int(jobs), len(payloads)) if parallel else 1
 
-def _parallel_outcomes(fn, payloads, jobs, label, retry, prepare, classify,
-                       on_outcome):
-    workers = min(int(jobs), len(payloads))
-    outcomes = [None] * len(payloads)
+    def new_pool():
+        if parallel:
+            return ProcessPoolExecutor(max_workers=workers)
+        return _InlineExecutor()
+
     pending = deque(
         _Task(index=index, payload=payload,
               label=label(payload) if label is not None else None)
         for index, payload in enumerate(payloads))
-    waiting = []          # backoff-delayed retries
+    waiting = []          # failed attempts sitting out their backoff
     in_flight = {}        # future -> task
-    rebuilds = 0
     timed_out_any = False
-    pool = ProcessPoolExecutor(max_workers=workers)
-
-    def _finalize(task, value=None, failure=None):
-        outcome = Outcome(index=task.index, label=task.label, value=value,
-                          failure=failure, attempts=task.attempt)
-        outcomes[task.index] = outcome
-        if on_outcome is not None:
-            on_outcome(outcome)
-
-    def _resolve(task, value, failure, now):
-        """Finalize an attempt's result, or requeue it for a retry."""
-        if failure is None:
-            _finalize(task, value=value)
-            return
-        if task.attempt >= retry.max_attempts:
-            _finalize(task, failure=failure)
-            return
-        task.attempt += 1
-        task.eligible_at = now + retry.delay_s(task.attempt)
-        waiting.append(task)
-
-    def _submit(task, now):
-        prepared = (prepare(task.payload, task.attempt, True)
-                    if prepare is not None else task.payload)
-        timeout = retry.timeout_for(task.attempt)
-        task.deadline = (now + timeout) if timeout is not None else None
-        in_flight[pool.submit(fn, prepared)] = task
-
+    pool = new_pool()
     try:
         while pending or waiting or in_flight:
             now = time.monotonic()
             ready = [task for task in waiting if task.eligible_at <= now]
-            for task in ready:
-                waiting.remove(task)
-                pending.append(task)
+            waiting = [task for task in waiting if task.eligible_at > now]
+            pending.extendleft(reversed(ready))
             while pending and len(in_flight) < workers:
-                _submit(pending.popleft(), now)
+                task = pending.popleft()
+                prepared = (prepare(task.payload, task.attempt, parallel)
+                            if prepare is not None else task.payload)
+                timeout = retry.timeout_for(task.attempt) if parallel else None
+                task.deadline = None if timeout is None else now + timeout
+                in_flight[pool.submit(fn, prepared)] = task
             if not in_flight:
                 # Everything left is backoff-delayed: sleep to the next
                 # eligibility instant.
@@ -272,52 +243,48 @@ def _parallel_outcomes(fn, payloads, jobs, label, retry, prepare, classify,
                       if bounds else None)
             done, _ = wait(list(in_flight), timeout=wait_s,
                            return_when=FIRST_COMPLETED)
-            broken = False
             now = time.monotonic()
+            finished = []
             for future in done:
                 task = in_flight.pop(future)
                 value, exc = None, None
                 try:
                     value = future.result()
-                except BrokenProcessPool as caught:
-                    # The pool died while this task was in flight; the
-                    # parent cannot tell culprit from bystander, so the
-                    # crash attempt is charged to each.
-                    broken = True
-                    _resolve(task, None,
-                             {"kind": "crash",
-                              "error": f"worker process crashed "
-                                       f"(attempt {task.attempt}): "
-                                       f"{caught!r}",
-                              "traceback": []}, now)
-                    continue
                 except Exception as caught:
                     exc = caught
-                _resolve(task, value, _attempt_failure(value, exc, classify),
-                         now)
-            expired = [future for future, task in in_flight.items()
-                       if task.deadline is not None and now > task.deadline]
-            for future in expired:
-                task = in_flight.pop(future)
-                timed_out_any = True
-                broken = True   # rebuild below to shed the stuck worker
-                _resolve(task, None,
-                         {"kind": "timeout",
-                          "error": f"attempt {task.attempt} exceeded "
-                                   f"{retry.timeout_for(task.attempt):g}s "
-                                   f"wall-clock timeout",
-                          "traceback": []}, now)
+                finished.append((task, value, exc,
+                                 _attempt_failure(task, value, exc, classify)))
+            broken = any(isinstance(exc, BrokenProcessPool)
+                         for _, _, exc, _ in finished)
+            for future, task in list(in_flight.items()):
+                if task.deadline is not None and now > task.deadline:
+                    del in_flight[future]
+                    timed_out_any = broken = True  # rebuild to shed it
+                    finished.append((task, None, None, {
+                        "kind": "timeout",
+                        "error": f"attempt {task.attempt} exceeded "
+                                 f"{retry.timeout_for(task.attempt):g}s "
+                                 f"wall-clock timeout",
+                        "traceback": []}))
             if broken:
                 # Innocent in-flight tasks are requeued without a charged
                 # attempt; their old futures (if any still complete in the
                 # abandoned pool) are simply ignored.
-                for task in in_flight.values():
-                    pending.appendleft(task)
+                pending.extendleft(reversed(list(in_flight.values())))
                 in_flight.clear()
                 pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=workers)
-                rebuilds += 1
+                pool = new_pool()
+            for task, value, exc, failure in finished:
+                if failure is None:
+                    yield Outcome(index=task.index, label=task.label,
+                                  value=value, attempts=task.attempt), None
+                elif task.attempt >= retry.max_attempts:
+                    yield Outcome(index=task.index, label=task.label,
+                                  failure=failure, attempts=task.attempt), exc
+                else:
+                    task.attempt += 1
+                    task.eligible_at = now + retry.delay_s(task.attempt)
+                    waiting.append(task)
     finally:
         # A stuck worker would make a waiting shutdown hang forever.
         pool.shutdown(wait=not timed_out_any, cancel_futures=True)
-    return outcomes
