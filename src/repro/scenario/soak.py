@@ -327,7 +327,6 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
 
     dp_samples_us = [value / MICROSECONDS
                      for value in pooled.recorder.samples]
-    dp_within = sum(1 for value in dp_samples_us if value <= dp_slo_us)
     vms = all_vms()
     startup, startups_ms = startup_block(vms, env.now, slo_ns)
 
@@ -341,9 +340,8 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
         "dp_sample_count": pooled.recorder.count,
         "dp_latency_us": summarize(dp_samples_us, qs=(50, 90, 99, 99.9)),
         "dp_slo_us": dp_slo_us,
-        "dp_within_slo": dp_within,
-        "dp_slo_attainment_pct": attainment_pct(dp_within,
-                                                len(dp_samples_us)),
+        "dp_within_slo": pooled.within,
+        "dp_slo_attainment_pct": pooled.attainment_pct(),
         "startup_samples_ms": startups_ms,
         **startup,
         "vms_started": len(startups_ms),
@@ -353,7 +351,7 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
             "cleared": injector.cleared if injector else 0,
         },
         "dp_sketch": pooled.sketch.to_dict(),
-        "dp_slo_total": len(dp_samples_us),
+        "dp_slo_total": pooled.recorder.count,
         "startup_sketch": QuantileSketch(alpha).extend(startups_ms).to_dict(),
         "engine": engine_summary(env),
     }

@@ -27,6 +27,18 @@ def test_summary_shape():
     assert summary["faults"] == {"injected": 0, "cleared": 0}
 
 
+def test_pooled_slo_counts_every_probe_past_the_sample_cap(monkeypatch):
+    import repro.scenario.soak as soak_module
+
+    monkeypatch.setattr(soak_module, "_SAMPLE_CAP", 16)
+    summary = _small_soak(arm="taichi")
+    assert len(summary["dp_samples_us"]) == 16
+    assert summary["dp_slo_total"] == summary["dp_sample_count"] > 16
+    assert summary["dp_within_slo"] <= summary["dp_slo_total"]
+    assert summary["dp_slo_attainment_pct"] == pytest.approx(
+        100.0 * summary["dp_within_slo"] / summary["dp_slo_total"])
+
+
 def _vm(issued_ns, startup_ns=None):
     return SimpleNamespace(request=SimpleNamespace(t_issued=issued_ns),
                            startup_time_ns=lambda: startup_ns)
