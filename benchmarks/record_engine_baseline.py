@@ -14,7 +14,7 @@ both down on the current machine:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/record_engine_baseline.py \
+    PYTHONPATH=src python -m benchmarks.record_engine_baseline \
         [--out BENCH_engine.json] [--rounds N]
 
 The committed baseline is informational (machines differ); the enforced
@@ -24,8 +24,8 @@ gate lives in ``benchmarks/test_bench_engine.py`` and CI.
 import argparse
 import json
 import platform
-import time
 
+from benchmarks.timing import interleaved_best
 from repro.scenario import Scenario, run_soak
 from repro.sim import EngineConfig
 from repro.sim.units import MILLISECONDS
@@ -36,29 +36,20 @@ _DRAIN_NS = 5 * MILLISECONDS
 
 def _soak(arm, engine):
     scenario = Scenario(arm=arm, knobs={"engine": engine})
-    t0 = time.perf_counter()
-    summary = run_soak(scenario, seed=0, duration_ns=_DURATION_NS,
-                       drain_ns=_DRAIN_NS, label="bench-engine")
-    wall = time.perf_counter() - t0
-    return summary, wall
+    return run_soak(scenario, seed=0, duration_ns=_DURATION_NS,
+                    drain_ns=_DRAIN_NS, label="bench-engine")
 
 
 def measure_fast_forward(arm, rounds):
     """Interleaved fast-vs-stepped best-of-N for one arm."""
-    fast_times, stepped_times = [], []
-    fast_engine = stepped_engine = None
-    identical = True
-    for _ in range(rounds):
-        fast_summary, wall = _soak(arm, EngineConfig(fast_forward=True))
-        fast_times.append(wall)
-        stepped_summary, wall = _soak(arm, EngineConfig(fast_forward=False))
-        stepped_times.append(wall)
-        fast_engine = fast_summary.pop("engine")
-        stepped_engine = stepped_summary.pop("engine")
-        identical = identical and (
-            json.dumps(fast_summary, sort_keys=True, default=str)
-            == json.dumps(stepped_summary, sort_keys=True, default=str))
-    best_fast, best_stepped = min(fast_times), min(stepped_times)
+    (fast_summary, stepped_summary), (best_fast, best_stepped) = \
+        interleaved_best(
+            [lambda: _soak(arm, EngineConfig(fast_forward=True)),
+             lambda: _soak(arm, EngineConfig(fast_forward=False))], rounds)
+    fast_engine = fast_summary.pop("engine")
+    stepped_engine = stepped_summary.pop("engine")
+    identical = (json.dumps(fast_summary, sort_keys=True, default=str)
+                 == json.dumps(stepped_summary, sort_keys=True, default=str))
     simulated = (fast_engine["events_processed"]
                  + fast_engine["events_skipped"])
     return {
@@ -79,18 +70,18 @@ def measure_fast_forward(arm, rounds):
 
 def measure_scheduler(rounds):
     """Heap vs calendar queue wall cost on the taichi fast-path soak."""
-    times = {"heap": [], "calendar": []}
-    events = {}
-    for _ in range(rounds):
-        for name in ("heap", "calendar"):
-            summary, wall = _soak("taichi", EngineConfig(scheduler=name))
-            times[name].append(wall)
-            events[name] = summary["engine"]["events_processed"]
+    summaries, (best_heap, best_calendar) = interleaved_best(
+        [lambda: _soak("taichi", EngineConfig(scheduler="heap")),
+         lambda: _soak("taichi", EngineConfig(scheduler="calendar"))],
+        rounds)
+    events = dict(zip(("heap", "calendar"),
+                      (summary["engine"]["events_processed"]
+                       for summary in summaries)))
     assert events["heap"] == events["calendar"], (
         "scheduler queues disagreed on the event count: "
         f"{events['heap']} heap vs {events['calendar']} calendar")
-    heap_rate = events["heap"] / min(times["heap"])
-    calendar_rate = events["calendar"] / min(times["calendar"])
+    heap_rate = events["heap"] / best_heap
+    calendar_rate = events["calendar"] / best_calendar
     return {
         "rounds": rounds,
         "events_processed": events["heap"],

@@ -16,10 +16,10 @@ Two claims back the engine fast path, and this module gates both:
 """
 
 import json
-import time
 
 import pytest
 
+from benchmarks.timing import interleaved_best, soak_engines
 from repro.obs import observe
 from repro.scenario import Scenario, run_soak
 from repro.sim import EngineConfig
@@ -46,18 +46,10 @@ def _soak(arm, fast_forward, check_invariants=False):
 def test_bench_engine_events_per_second(benchmark):
     scenario = Scenario(arm="taichi")
 
-    def soak():
-        with observe() as session:
-            summary = run_soak(scenario, seed=0,
-                               duration_ns=60 * MILLISECONDS,
-                               drain_ns=20 * MILLISECONDS,
-                               label="bench-engine")
-        return summary, session.metrics.snapshot()
+    summary, engines = benchmark.pedantic(
+        soak_engines, args=(scenario, "bench-engine"), rounds=3,
+        iterations=1)
 
-    summary, snapshot = benchmark.pedantic(soak, rounds=3, iterations=1)
-
-    engines = [data for name, data in snapshot["sources"].items()
-               if name.split("#")[0] == "sim.engine"]
     assert engines, "the simulator did not register an engine profile"
     events = sum(engine["events_processed"] for engine in engines)
     skipped = sum(engine["events_skipped"] for engine in engines)
@@ -84,23 +76,13 @@ def test_bench_engine_events_per_second(benchmark):
 def test_bench_engine_fast_forward_gate(benchmark):
     """Fast-forward >= 3x on an idle-heavy soak, byte-identical results."""
 
-    def measure():
-        fast_times, stepped_times = [], []
-        for _ in range(_ROUNDS):
-            t0 = time.perf_counter()
-            fast_summary, fast_violations = _soak(
-                "static", True, check_invariants=True)
-            fast_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            stepped_summary, stepped_violations = _soak(
-                "static", False, check_invariants=True)
-            stepped_times.append(time.perf_counter() - t0)
-        return (fast_summary, stepped_summary, fast_violations,
-                stepped_violations, min(fast_times), min(stepped_times))
-
-    (fast_summary, stepped_summary, fast_violations, stepped_violations,
-     best_fast, best_stepped) = benchmark.pedantic(measure, rounds=1,
-                                                   iterations=1)
+    results, (best_fast, best_stepped) = benchmark.pedantic(
+        interleaved_best,
+        args=([lambda: _soak("static", True, check_invariants=True),
+               lambda: _soak("static", False, check_invariants=True)],
+              _ROUNDS), rounds=1, iterations=1)
+    ((fast_summary, fast_violations),
+     (stepped_summary, stepped_violations)) = results
 
     # Correctness first: both modes must be invariant-clean and agree on
     # every summary byte outside the engine self-profile block.

@@ -11,10 +11,8 @@ the enabled arm must leave the simulated world untouched: identical
 event counts, identical probe samples.
 """
 
-import time
-
-from repro.obs import observe
-from repro.scenario import Scenario, run_soak
+from benchmarks.timing import interleaved_best, soak_events
+from repro.scenario import Scenario
 from repro.sim.units import MILLISECONDS
 
 _ROUNDS = 5
@@ -22,34 +20,14 @@ _MAX_ON_FACTOR = 4.0
 
 
 def _soak(spans):
-    scenario = Scenario(arm="taichi")
-    with observe() as session:
-        summary = run_soak(scenario, seed=0,
-                           duration_ns=60 * MILLISECONDS,
-                           drain_ns=20 * MILLISECONDS,
-                           label="bench-spans", spans=spans)
-    snapshot = session.metrics.snapshot()
-    events = sum(data["events_processed"]
-                 for name, data in snapshot["sources"].items()
-                 if name.split("#")[0] == "sim.engine")
-    return summary, events
+    return soak_events(Scenario(arm="taichi"), "bench-spans", spans=spans)
 
 
 def test_bench_span_overhead(benchmark):
-    def measure():
-        off_times, on_times = [], []
-        for _ in range(_ROUNDS):
-            t0 = time.perf_counter()
-            summary_off, events_off = _soak(False)
-            off_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            summary_on, events_on = _soak(True)
-            on_times.append(time.perf_counter() - t0)
-        return summary_off, summary_on, events_off, events_on, \
-            min(off_times), min(on_times)
-
-    summary_off, summary_on, events_off, events_on, best_off, best_on = \
-        benchmark.pedantic(measure, rounds=1, iterations=1)
+    results, (best_off, best_on) = benchmark.pedantic(
+        interleaved_best, args=([lambda: _soak(False), lambda: _soak(True)],
+                                _ROUNDS), rounds=1, iterations=1)
+    (summary_off, events_off), (summary_on, events_on) = results
 
     # Spans only read state and record events: the simulated world is
     # byte-identical, so the engine processes the exact same events.

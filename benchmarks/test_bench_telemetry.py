@@ -9,49 +9,26 @@ gates the ratio.  Events/sec is derived from the engine's deterministic
 event count, which telemetry must not change (gauges only read state).
 """
 
-import time
-
-from repro.obs import observe
+from benchmarks.timing import interleaved_best, soak_events
 from repro.obs.telemetry import TelemetryConfig
-from repro.scenario import Scenario, run_soak
-from repro.sim.units import MILLISECONDS
+from repro.scenario import Scenario
 
 _ROUNDS = 5
 _MAX_OVERHEAD = 0.05
 
 
 def _soak(telemetry):
-    scenario = Scenario(arm="taichi")
-    with observe() as session:
-        summary = run_soak(scenario, seed=0,
-                           duration_ns=60 * MILLISECONDS,
-                           drain_ns=20 * MILLISECONDS,
-                           label="bench-telemetry",
-                           telemetry=telemetry)
-    snapshot = session.metrics.snapshot()
-    events = sum(data["events_processed"]
-                 for name, data in snapshot["sources"].items()
-                 if name.split("#")[0] == "sim.engine")
-    return summary, events
+    return soak_events(Scenario(arm="taichi"), "bench-telemetry",
+                       telemetry=telemetry)
 
 
 def test_bench_telemetry_overhead(benchmark):
     config = TelemetryConfig(interval_ms=10.0)
 
-    def measure():
-        off_times, on_times = [], []
-        for _ in range(_ROUNDS):
-            t0 = time.perf_counter()
-            summary_off, events_off = _soak(None)
-            off_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            summary_on, events_on = _soak(config)
-            on_times.append(time.perf_counter() - t0)
-        return summary_off, summary_on, events_off, events_on, \
-            min(off_times), min(on_times)
-
-    summary_off, summary_on, events_off, events_on, best_off, best_on = \
-        benchmark.pedantic(measure, rounds=1, iterations=1)
+    results, (best_off, best_on) = benchmark.pedantic(
+        interleaved_best, args=([lambda: _soak(None), lambda: _soak(config)],
+                                _ROUNDS), rounds=1, iterations=1)
+    (summary_off, events_off), (summary_on, events_on) = results
 
     # Telemetry is observational: the simulated world is unchanged.  The
     # engine count differs only by the bus's own interval-timer events.

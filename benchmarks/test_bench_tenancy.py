@@ -15,11 +15,8 @@ shift exact counts by a hair, and cross-charging one arm's events to
 the other would skew the rate.
 """
 
-import time
-
-from repro.obs import observe
-from repro.scenario import Scenario, run_soak
-from repro.sim.units import MILLISECONDS
+from benchmarks.timing import interleaved_best, soak_events
+from repro.scenario import Scenario
 
 _ROUNDS = 5
 _MAX_OVERHEAD = 0.05
@@ -32,37 +29,17 @@ _WORKLOAD = {"dp_utilization": 0.30, "n_monitors": 3, "rolling_tasks": 2,
 
 
 def _soak(tenants):
-    scenario = Scenario(arm="taichi", workload=dict(_WORKLOAD),
-                        tenants=tenants)
-    with observe() as session:
-        summary = run_soak(scenario, seed=0,
-                           duration_ns=60 * MILLISECONDS,
-                           drain_ns=20 * MILLISECONDS,
-                           label="bench-tenancy")
-    snapshot = session.metrics.snapshot()
-    events = sum(data["events_processed"]
-                 for name, data in snapshot["sources"].items()
-                 if name.split("#")[0] == "sim.engine")
-    return summary, events
+    return soak_events(Scenario(arm="taichi", workload=dict(_WORKLOAD),
+                                tenants=tenants), "bench-tenancy")
 
 
 def test_bench_tenancy_overhead(benchmark):
     sole = [{"tenant_id": "sole"}]
 
-    def measure():
-        off_times, on_times = [], []
-        for _ in range(_ROUNDS):
-            t0 = time.perf_counter()
-            summary_off, events_off = _soak(None)
-            off_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            summary_on, events_on = _soak(sole)
-            on_times.append(time.perf_counter() - t0)
-        return summary_off, summary_on, events_off, events_on, \
-            min(off_times), min(on_times)
-
-    summary_off, summary_on, events_off, events_on, best_off, best_on = \
-        benchmark.pedantic(measure, rounds=1, iterations=1)
+    results, (best_off, best_on) = benchmark.pedantic(
+        interleaved_best, args=([lambda: _soak(None), lambda: _soak(sole)],
+                                _ROUNDS), rounds=1, iterations=1)
+    (summary_off, events_off), (summary_on, events_on) = results
 
     # The sole tenant inherits the whole board: a comparable world (the
     # tenant RNG streams shift exact counts by a hair), and every donated
